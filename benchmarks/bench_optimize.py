@@ -39,22 +39,24 @@ os.environ["REPRO_CACHE_DISABLE"] = "1"
 
 
 def bench_optimize(config, query) -> dict:
+    from repro import obs
     from repro.api import Session
     from repro.serve import Engine
     from repro.sim import activity
 
     engine = Engine(Session(config))
-    activity.clear_cache(reset_counters=True)
+    activity.LADDER.lru.clear()
 
+    before = obs.snapshot()
     start = time.perf_counter()
     cold = engine.optimize(query)
     cold_s = time.perf_counter() - start
-    cold_sims = activity.cache_info()["simulations"]
+    cold_sims = obs.diff(before)["activity.computes"]
 
     start = time.perf_counter()
     warm = engine.optimize(query)
     warm_s = time.perf_counter() - start
-    warm_sims = activity.cache_info()["simulations"] - cold_sims
+    warm_sims = obs.diff(before)["activity.computes"] - cold_sims
     assert warm_sims == 0, (
         f"warm re-optimize ran {warm_sims} simulations; every point "
         f"should have been served from the result cache")
@@ -94,7 +96,7 @@ def bench_timing(config, circuit: str, library_key: str) -> dict:
         synthesized_benchmark(circuit, config.synthesize),
         library, config)
 
-    timing.clear_cache(reset_counters=True)
+    timing.LADDER.lru.clear()
     start = time.perf_counter()
     report = timing.analyze_timing(netlist)
     analyze_s = time.perf_counter() - start

@@ -68,19 +68,19 @@ def _warm_everything(spec) -> None:
 
 def _run_per_point(spec) -> dict:
     """Every point pays its own simulation (the historical cost)."""
+    from repro import obs
     from repro.sim import activity
     from repro.sweep.runner import run_sweep_task
 
     tasks = spec.expand()
-    simulations = 0
+    before = obs.snapshot()
     start = time.perf_counter()
     for task in tasks:
-        activity.clear_cache()  # the pre-split runner had no stats cache
-        before = activity.cache_info()["simulations"]
+        activity.LADDER.lru.clear()  # the pre-split runner had no stats cache
         run_sweep_task(task)
-        simulations += activity.cache_info()["simulations"] - before
     return {"wall_s": time.perf_counter() - start,
-            "points": len(tasks), "simulations": simulations}
+            "points": len(tasks),
+            "simulations": obs.diff(before)["activity.computes"]}
 
 
 def _run_grouped(spec) -> dict:
@@ -88,7 +88,7 @@ def _run_grouped(spec) -> dict:
     from repro.api import Session
     from repro.sim import activity
 
-    activity.clear_cache()
+    activity.LADDER.lru.clear()
     start = time.perf_counter()
     # Serial on purpose: the measurement isolates grouping, and the
     # one-simulation-per-structure assertion relies on the activity

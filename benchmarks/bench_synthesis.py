@@ -10,8 +10,8 @@ import pytest
 from repro.circuits.multiplier import array_multiplier
 from repro.circuits.suite import build_benchmark
 from repro.synth.mapper import MappingOptions, map_aig
-from repro.synth.netlist import static_timing
 from repro.synth.scripts import resyn2rs
+from repro.timing import arrival_times
 
 
 def test_bench_resyn2rs_multiplier(benchmark):
@@ -42,7 +42,7 @@ def test_bench_area_recovery_ablation(benchmark, glib, area_rounds):
     options = MappingOptions(area_rounds=area_rounds)
     netlist = benchmark.pedantic(lambda: map_aig(aig, glib, options),
                                  rounds=1, iterations=1)
-    delay, _ = static_timing(netlist)
+    delay, _ = arrival_times(netlist)
     print(f"\n  area_rounds={area_rounds}: gates={netlist.gate_count}, "
           f"delay={delay * 1e12:.1f} ps")
     assert netlist.gate_count > 0

@@ -15,8 +15,8 @@ from repro.circuits.multiplier import array_multiplier
 from repro.gates.genlib import write_genlib
 from repro.registry import paper_libraries
 from repro.synth.mapper import map_aig
-from repro.synth.netlist import static_timing
 from repro.synth.scripts import resyn2rs
+from repro.timing import timing_report
 
 width = int(sys.argv[1]) if len(sys.argv) > 1 else 8
 
@@ -31,7 +31,7 @@ print(f"after resyn2rs: {optimized.n_nodes} nodes, "
 for key, library in paper_libraries().items():
     netlist = map_aig(optimized, library)
     netlist.validate()
-    delay, _ = static_timing(netlist)
+    delay = timing_report(netlist).critical_delay_s
     histogram = sorted(netlist.cell_histogram().items(),
                        key=lambda kv: -kv[1])
     top = ", ".join(f"{name} x{count}" for name, count in histogram[:6])

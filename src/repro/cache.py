@@ -26,10 +26,9 @@ written as a checksummed envelope (``{"__repro_cache__": 1, "sha256":
 anything unparseable, truncated or mismatched — the file is moved
 aside to ``<root>/_quarantine/<namespace>/`` (for post-mortem) and the
 read reports a clean miss, so a process killed mid-anything can never
-poison future runs.  Envelope-less entries written by older builds are
-still readable (callers structurally validate payloads anyway).
-Quarantine/verification counters are exposed via :func:`cache_stats`
-and surface in the server's ``/healthz``.
+poison future runs.  An entry without the envelope is quarantined the
+same way.  Quarantine/verification counters are ``disk.*`` counters of
+:mod:`repro.obs` and surface in the server's ``/healthz``.
 
 The read path carries the ``cache.corrupt_read`` fault-injection
 point (:mod:`repro.faults`): a chaos run can garble any read and
@@ -49,8 +48,13 @@ stale lock (owner pid dead on this host, or older than the staleness
 window) and take over leadership.  Because every computation here is
 deterministic and content-addressed, the worst outcome of any race is
 one redundant recomputation — never a wrong answer.  Leader/follower/
-takeover counters are part of :func:`cache_stats` and surface in the
-server's ``/healthz``.
+takeover counters are ``disk.flight_*`` counters of :mod:`repro.obs`
+and surface in the server's ``/healthz``.
+
+**The ladder**: every expensive content-addressed artifact (activity
+statistics, timing reports, leakage tables) is read through one
+:class:`Ladder` — an :class:`LruCache`, then the disk entry, then the
+computation under :func:`single_flight`.
 """
 
 from __future__ import annotations
@@ -62,8 +66,11 @@ import os
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
+
+from repro import obs
 
 #: Environment variable naming the cache root directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -140,41 +147,19 @@ def cache_root() -> Path:
     return Path(configured) if configured else _DEFAULT_ROOT
 
 
-# Integrity counters are process-global (a DiskCache is constructed
-# fresh per call site so the environment is always current; counters
-# must outlive any one instance to be reportable in /healthz).
-_STATS_LOCK = threading.Lock()
-_STATS: Dict[str, int] = {"verified": 0, "legacy": 0, "quarantined": 0,
-                          "checksum_mismatch": 0, "unparseable": 0,
-                          "flight_leader": 0, "flight_follower": 0,
-                          "flight_takeover": 0, "flight_timeout": 0}
-
-
-def cache_stats() -> Dict[str, int]:
-    """Integrity counters of the disk cache (process lifetime).
-
-    ``verified`` — checksummed entries read and verified; ``legacy`` —
-    pre-envelope entries accepted as-is; ``quarantined`` — corrupt
-    entries moved aside (split into ``checksum_mismatch`` and
-    ``unparseable``).  The ``flight_*`` counters track cross-process
-    single-flight: computations led, answers served from a leader's
-    entry after waiting, stale locks taken over, and waits that gave
-    up and computed redundantly.
-    """
-    with _STATS_LOCK:
-        return dict(_STATS)
-
-
-def reset_cache_stats() -> None:
-    """Zero the integrity counters (test isolation)."""
-    with _STATS_LOCK:
-        for key in _STATS:
-            _STATS[key] = 0
+#: The disk tier's ``disk.*`` counters, as ``/healthz`` reports them:
+#: entries ``verified``; corrupt or envelope-less entries
+#: ``quarantined`` (split into ``checksum_mismatch``/``unparseable``);
+#: single-flight computations led, answers waited for, stale locks
+#: taken over and waits given up (``flight_leader``/``_follower``/
+#: ``_takeover``/``_timeout``).
+DISK_COUNTERS = ("verified", "quarantined", "checksum_mismatch",
+                 "unparseable", "flight_leader", "flight_follower",
+                 "flight_takeover", "flight_timeout")
 
 
 def _count(key: str) -> None:
-    with _STATS_LOCK:
-        _STATS[key] += 1
+    obs.count("disk." + key)
 
 
 class DiskCache:
@@ -229,18 +214,17 @@ class DiskCache:
         except ValueError:
             self._quarantine(path, namespace, "unparseable")
             return None
-        if (isinstance(payload, dict)
+        if not (isinstance(payload, dict)
                 and payload.get("__repro_cache__") == CACHE_FORMAT_VERSION):
-            value = payload.get("value")
-            if payload.get("sha256") != _entry_checksum(value):
-                self._quarantine(path, namespace, "checksum_mismatch")
-                return None
-            _count("verified")
-            return value
-        # An entry from before the checksummed envelope: accepted, and
-        # rewritten with a checksum the next time its key is put().
-        _count("legacy")
-        return payload
+            # No envelope, so nothing to verify the value against.
+            self._quarantine(path, namespace, "unparseable")
+            return None
+        value = payload.get("value")
+        if payload.get("sha256") != _entry_checksum(value):
+            self._quarantine(path, namespace, "checksum_mismatch")
+            return None
+        _count("verified")
+        return value
 
     def put(self, namespace: str, key: str, value: Any) -> None:
         """Atomically store a checksummed entry (no-op when disabled).
@@ -444,3 +428,97 @@ def default_cache() -> DiskCache:
     cache by setting the environment variables at any point.
     """
     return DiskCache()
+
+
+class LruCache:
+    """A thread-safe LRU counting ``<name>.hits`` / ``<name>.misses``.
+
+    Values are never ``None`` (a ``None`` from :meth:`get` is a miss).
+    """
+
+    def __init__(self, name: str, maxsize: int):
+        self.name = name
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+
+    def get(self, key: Hashable) -> Optional[Any]:
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+        obs.count(f"{self.name}.{'misses' if value is None else 'hits'}")
+        return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+
+class Ladder:
+    """LRU -> checksummed disk -> single-flight compute, for one namespace.
+
+    ``encode(value)`` turns a value into its JSON payload;
+    ``decode(payload, subject)`` turns a payload read back (``None`` when
+    absent) into a value for the requesting ``subject`` (a netlist, a
+    library), returning ``None`` — or raising ``TypeError``/
+    ``ValueError``/``KeyError`` — when it does not structurally fit.
+    Such an entry is a miss, recomputed and overwritten.  ``maxsize=0``
+    keeps nothing in the LRU (for values an instance memo holds).
+
+    Counts ``<namespace>.hits`` / ``.misses`` (LRU), ``.disk_hits``
+    (served from disk, directly or from a single-flight leader's entry)
+    and ``.computes`` in :mod:`repro.obs`.  Keys are content hashes, so
+    nothing ever needs invalidating.
+    """
+
+    def __init__(self, namespace: str, encode: Callable[[Any], Any],
+                 decode: Callable[[Any, Any], Any], maxsize: int = 0):
+        self.namespace = namespace
+        self.encode = encode
+        self.decode = decode
+        self.lru = LruCache(namespace, maxsize)
+
+    def get(self, key: str, subject: Any, compute: Callable[[], Any],
+            disk: Optional[DiskCache] = None) -> Any:
+        """The value under ``key``, computing it at most once fleet-wide.
+
+        ``disk`` defaults to :func:`default_cache` (the environment's
+        store).  The returned value is shared — treat it as immutable.
+        """
+        value = self.lru.get(key)
+        if value is not None:
+            return value
+        if disk is None:
+            disk = default_cache()
+        computed = []
+
+        def probe() -> Optional[Any]:
+            try:
+                return self.decode(disk.get(self.namespace, key), subject)
+            except (TypeError, ValueError, KeyError):
+                return None
+
+        def produce() -> Any:
+            computed.append(compute())
+            obs.count(self.namespace + ".computes")
+            disk.put(self.namespace, key, self.encode(computed[0]))
+            return computed[0]
+
+        value = probe()
+        if value is None:
+            value = single_flight(disk, self.namespace, key, produce, probe)
+        if not computed:
+            obs.count(self.namespace + ".disk_hits")
+        self.lru.put(key, value)
+        return value

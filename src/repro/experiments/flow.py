@@ -17,8 +17,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
+from repro.cache import LruCache
 from repro.experiments.config import ExperimentConfig, PAPER_CONFIG
 from repro.gates.library import Library
 from repro.power.model import energy_delay_product
@@ -107,6 +108,32 @@ def map_subject(subject: Aig, library: Library,
         area_rounds=config.mapper_area_rounds,
     )
     return map_aig(subject, library, options)
+
+
+#: Mapped netlists shared by the serving engine, the optimizer and the
+#: sweep runner (counters ``netlists.hits`` / ``netlists.misses``).
+MAPPED_NETLISTS = LruCache("netlists", 64)
+
+
+def mapped_netlist(circuit: str, library: Library,
+                   config: ExperimentConfig = PAPER_CONFIG
+                   ) -> MappedNetlist:
+    """A registered circuit mapped onto ``library``, memoized per process.
+
+    Keyed by the registry generation (a re-registration retires every
+    older entry), the circuit, the library instance — whose id no other
+    library can take while the entry's netlist holds it — and the
+    synthesis and mapper options.
+    """
+    key = (registry.generation(), circuit, id(library), config.synthesize,
+           config.mapper_cut_size, config.mapper_cut_limit,
+           config.mapper_area_rounds)
+    netlist = MAPPED_NETLISTS.get(key)
+    if netlist is None:
+        subject = synthesized_benchmark(circuit, config.synthesize)
+        netlist = map_subject(subject, library, config)
+        MAPPED_NETLISTS.put(key, netlist)
+    return netlist
 
 
 def flow_from_power_report(report: CircuitPowerReport,

@@ -34,17 +34,15 @@ live rebuild.
 from __future__ import annotations
 
 import time
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import registry
+from repro import obs, registry
 from repro.cache import DiskCache, default_cache, stable_hash
 from repro.errors import ExperimentError
 from repro.gates.library import CellTiming, Library
-from repro.sim.estimator import (_LEAKAGE_NAMESPACE, _LeakageTables,
-                                 _library_content_key)
+from repro.sim.estimator import _LeakageTables, _library_content_key
 
 #: Bump on any change to the artifact payload layout; stored artifacts
 #: with a different version are rejected (counted ``stale_schema``).
@@ -78,31 +76,18 @@ def artifact_key(name: str, vdd: Optional[float] = None) -> str:
     return stable_hash({"library": key, "vdd": vdd})
 
 
-# -- counters ------------------------------------------------------------------
-
-_COUNTER_LOCK = threading.Lock()
-_COUNTERS: Dict[str, int] = {}
-
-
-def _count(name: str) -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS[name] = _COUNTERS.get(name, 0) + 1
+#: The artifact outcomes :func:`load_library` counts, as
+#: ``foundry.<name>`` counters of :mod:`repro.obs`.
+FOUNDRY_COUNTERS = ("artifact_hits", "artifact_misses",
+                    "artifact_stale_schema", "artifact_mismatch",
+                    "artifact_invalid")
 
 
-def foundry_counters() -> Dict[str, int]:
-    """Process-global artifact counters (hits, misses and miss causes)."""
-    with _COUNTER_LOCK:
-        counters = dict(_COUNTERS)
-    for name in ("artifact.hits", "artifact.misses", "artifact.stale_schema",
-                 "artifact.mismatch", "artifact.invalid"):
-        counters.setdefault(name, 0)
-    return counters
-
-
-def reset_foundry_counters() -> None:
-    """Zero the artifact counters (test isolation)."""
-    with _COUNTER_LOCK:
-        _COUNTERS.clear()
+def _miss(cause: Optional[str] = None) -> None:
+    """Count one artifact miss (and its cause, when it is not absence)."""
+    if cause is not None:
+        obs.count(f"foundry.artifact_{cause}")
+    obs.count("foundry.artifact_misses")
 
 
 # -- the artifact --------------------------------------------------------------
@@ -177,20 +162,6 @@ class LibraryArtifact:
 # -- building ------------------------------------------------------------------
 
 
-def _leakage_tables(library: Library, cache: DiskCache) -> _LeakageTables:
-    """Leakage tables against an explicit cache root (resumable build)."""
-    key = _library_content_key(library)
-    stored = cache.get(_LEAKAGE_NAMESPACE, key)
-    if _LeakageTables._valid_stored(stored, library):
-        try:
-            return _LeakageTables(library, stored)
-        except (TypeError, ValueError):
-            pass
-    tables = _LeakageTables(library)
-    cache.put(_LEAKAGE_NAMESPACE, key, tables._serialize())
-    return tables
-
-
 def build_artifact(name: str, vdd: Optional[float] = None, *,
                    cache: Optional[DiskCache] = None,
                    reuse_tables: bool = True) -> LibraryArtifact:
@@ -202,7 +173,8 @@ def build_artifact(name: str, vdd: Optional[float] = None, *,
     key = registry.canonical_library(name)
     library = registry.build_library(key, vdd)
     if reuse_tables:
-        tables = _leakage_tables(library, cache or default_cache())
+        tables = _LeakageTables.for_library(library,
+                                            cache or default_cache())
     else:
         tables = _LeakageTables(library)
     timing: Dict[str, List[float]] = {}
@@ -287,11 +259,7 @@ def load_artifact(name: str, vdd: Optional[float] = None,
     cache = cache or default_cache()
     artifact, status = _read_artifact(name, vdd, cache)
     if artifact is None:
-        if status == "stale_schema":
-            _count("artifact.stale_schema")
-        elif status == "invalid":
-            _count("artifact.invalid")
-        _count("artifact.misses")
+        _miss(None if status == "missing" else status)
     return artifact
 
 
@@ -310,26 +278,21 @@ def load_library(name: str, vdd: Optional[float] = None,
         return None
     library = registry.build_library(name, vdd)
     if _library_content_key(library) != artifact.library_key:
-        _count("artifact.mismatch")
-        _count("artifact.misses")
-        return None
-    if not _LeakageTables._valid_stored(artifact.leakage, library):
-        _count("artifact.invalid")
-        _count("artifact.misses")
+        _miss("mismatch")
         return None
     try:
-        tables = _LeakageTables(library, artifact.leakage)
+        tables = _LeakageTables._decode(artifact.leakage, library)
     except (KeyError, TypeError, ValueError):
-        _count("artifact.invalid")
-        _count("artifact.misses")
+        tables = None
+    if tables is None:
+        _miss("invalid")
         return None
     for cell in library:
         pair = artifact.timing.get(cell.name)
         pins = artifact.pin_caps.get(cell.name)
         if (pair is None or len(pair) != 2 or pins is None
                 or set(pins) != set(cell.inputs)):
-            _count("artifact.invalid")
-            _count("artifact.misses")
+            _miss("invalid")
             return None
     # All-or-nothing hydration: memos are only written once every cell
     # checked out, so a bad artifact cannot leave a half-primed library.
@@ -341,7 +304,7 @@ def load_library(name: str, vdd: Optional[float] = None,
             library._pin_caps[(cell.name, pin)] = float(
                 artifact.pin_caps[cell.name][pin])
     _LeakageTables._cache[library] = tables
-    _count("artifact.hits")
+    obs.count("foundry.artifact_hits")
     return library
 
 

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import __version__, registry
-from repro.experiments.flow import flow_from_power_report
+from repro.experiments.flow import flow_from_power_report, mapped_netlist
 from repro.resilience import Deadline
 from repro.schema import (
     OPTIMIZE_OBJECTIVES,
@@ -249,12 +249,10 @@ def run_optimize(engine: "Engine", query: OptimizeQuery,
             for vdd in query.vdds:
                 config = replace(query.config, vdd=vdd, backend=backend,
                                  frequency=query.frequencies[0])
-                probe = PowerQuery(circuit=query.circuit,
-                                   library=library_key, config=config)
                 deadline.check("characterize")
-                library = engine.library_for(library_key, vdd)
+                library = registry.cached_library(library_key, vdd)
                 deadline.check("map")
-                netlist = engine.netlist_for(probe, library)
+                netlist = mapped_netlist(query.circuit, library, config)
                 deadline.check("timing")
                 timing: TimingReport = timing_report(netlist)
                 feasible = [frequency for frequency in query.frequencies

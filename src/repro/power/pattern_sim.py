@@ -24,15 +24,18 @@ Results are cached at two levels:
 ``solves`` counts actual SPICE solutions; ``cache_size`` and
 ``pattern_keys`` describe only the patterns *requested from this
 simulator*, regardless of whether the answer came from SPICE or disk —
-so characterization reports stay meaningful on a warm cache.
+so characterization reports stay meaningful on a warm cache.  Every
+solve of any simulator also counts ``spice.solves`` in
+:mod:`repro.obs`: the foundry's zero-live-solves guarantee is asserted
+against it.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro import obs
 from repro.cache import DiskCache, default_cache, stable_hash
 from repro.devices.parameters import TechnologyParams
 from repro.power.patterns import DEVICE, LeakagePattern, PatternTree
@@ -43,24 +46,6 @@ _SENTINEL = object()
 
 #: Disk-cache namespace for pattern DC solutions.
 PATTERN_NAMESPACE = "patterns"
-
-# Process-global solve meter: every SPICE operating point computed by
-# any simulator instance, regardless of which caches were warm.  The
-# foundry's zero-live-solves guarantee is asserted against this.
-_SOLVE_LOCK = threading.Lock()
-_TOTAL_SOLVES = 0
-
-
-def spice_solve_count() -> int:
-    """SPICE operating points computed by this process so far."""
-    return _TOTAL_SOLVES
-
-
-def reset_spice_solve_count() -> None:
-    """Zero the process-global solve meter (test isolation)."""
-    global _TOTAL_SOLVES
-    with _SOLVE_LOCK:
-        _TOTAL_SOLVES = 0
 
 
 @dataclass(frozen=True)
@@ -162,7 +147,5 @@ class PatternSimulator:
         solution = operating_point(circuit)
         i_off = -solution.source_current("vdd")
         self._solves += 1
-        global _TOTAL_SOLVES
-        with _SOLVE_LOCK:
-            _TOTAL_SOLVES += 1
+        obs.count("spice.solves")
         return PatternCurrents(i_off=i_off, n_devices=pattern.n_devices)

@@ -46,6 +46,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
+from repro import obs
 from repro.devices.parameters import CMOS_32NM, CNTFET_32NM, TechnologyParams
 from repro.errors import ExperimentError
 from repro.gates.ambipolar_library import generalized_cntfet_library
@@ -72,9 +73,10 @@ CircuitFactory = Callable[[], "Aig"]
 # -- generic name/alias registry core -----------------------------------------
 
 #: Bumped on every (re/un)registration of either kind.  Name-keyed
-#: caches outside this module (the flow's synthesized-subject memo,
-#: a serving engine's LRUs) compare it to detect that a name may now
-#: mean something else and must be re-resolved.
+#: caches outside this module (the flow's synthesized-subject and
+#: mapped-netlist memos, a serving engine's result cache) compare it to
+#: detect that a name may now mean something else and must be
+#: re-resolved.
 _GENERATION = 0
 
 
@@ -257,10 +259,13 @@ def cached_library(name: str, vdd: Optional[float] = None) -> Library:
     share characterized libraries (and their warmed match tables);
     ``vdd=None`` and the technology's literal native supply are
     distinct cache slots but construct value-identical libraries.
+    Lookups count ``libraries.hits`` / ``libraries.misses`` in
+    :mod:`repro.obs`.
     """
     key = canonical_library(name)
     cache_key = (key, vdd)
     library = _LIBRARY_CACHE.get(cache_key)
+    obs.count("libraries.misses" if library is None else "libraries.hits")
     if library is None:
         entry = _LIBRARIES.entries[key]
         if entry.artifact:

@@ -8,18 +8,21 @@ config) triple, while keeping every expensive intermediate warm:
 * **results** — finished reports, LRU-keyed by ``query_key`` (the
   sweep-task content hash), so a repeated identical query is a
   dictionary lookup (``cache_status: "hot"``);
-* **netlists** — mapped netlists, LRU-keyed by the subset of the
-  config that shapes mapping (circuit, library, vdd, synthesize,
-  mapper options), so changing only estimation knobs (frequency,
-  fanout, pattern budget, backend) re-estimates without re-mapping;
-* **libraries** — characterized libraries per (key, vdd), fronting
-  the per-process registry cache with engine-level hit/miss counters;
-* **stats** — simulation statistics (the :mod:`repro.sim.activity`
-  LRU, content-addressed by netlist + pattern budget), so a
+* **netlists** — mapped netlists
+  (:func:`repro.experiments.flow.mapped_netlist`), so changing only
+  estimation knobs (frequency, fanout, pattern budget, backend)
+  re-estimates without re-mapping;
+* **libraries** — the registry's per-(key, vdd) library cache;
+* **stats** and **timing** — the process-wide cache ladders of
+  :mod:`repro.sim.activity` and :mod:`repro.timing`, so a
   pricing-only requery — same circuit at a new frequency, fanout or
   supply — does zero bit-parallel simulation work.  ``/healthz``
-  reports it as the ``stats`` cache with ``stats.hot`` /
-  ``stats.cold`` counters.
+  reports the stats ladder with ``stats.hot`` / ``stats.cold``
+  counters.
+
+Every cache below the results counts into :mod:`repro.obs`; the engine
+snapshots the registry when it is built and ``/healthz`` reports the
+diff, i.e. the traffic since then.
 
 Batch queries (``POST /v1/estimate_batch`` ->
 :meth:`Engine.estimate_batch`) are grouped server-side by activity so
@@ -39,71 +42,37 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from concurrent.futures import Future, TimeoutError as FutureTimeout
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro import __version__, faults, foundry, registry
+from repro import __version__, faults, foundry, obs, registry, timing
 from repro.api import Session
-from repro.cache import cache_stats, stable_hash
-from repro.power.pattern_sim import spice_solve_count
+from repro.cache import DISK_COUNTERS, LruCache
 from repro.errors import DeadlineExceeded
 from repro.experiments.config import ExperimentConfig
 from repro.resilience import Deadline
 from repro.experiments.flow import (
+    MAPPED_NETLISTS,
     estimate_mapped,
-    map_subject,
-    synthesized_benchmark,
+    mapped_netlist,
 )
 from repro.schema import (
     OptimizeQuery,
     OptimizeReport,
     PowerQuery,
     PowerQuoteReport,
+    quote_from_record,
+    store_record,
 )
-from repro.sim.activity import (
-    cache_info as activity_cache_info,
-    pricing_group_key,
-)
+from repro.sim import activity
+from repro.sim.activity import pricing_group_key
 from repro.sim.backends import available_backends
-from repro.timing import cache_info as timing_cache_info
 
-#: Default LRU capacities.  Finished reports are tiny (a dataclass of
-#: floats); netlists and libraries are the heavy entries.
+#: Default capacity of the result LRU (finished reports are tiny: a
+#: dataclass of floats).
 DEFAULT_MAX_RESULTS = 4096
-DEFAULT_MAX_NETLISTS = 64
-DEFAULT_MAX_LIBRARIES = 16
-
-
-class _LruCache:
-    """A tiny LRU with hit/miss counters (not itself thread-safe; the
-    engine serializes access under its lock)."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._data: "OrderedDict[str, Any]" = OrderedDict()
-
-    def get(self, key: str) -> Optional[Any]:
-        value = self._data.get(key)
-        if value is None:
-            return None
-        self._data.move_to_end(key)
-        return value
-
-    def put(self, key: str, value: Any) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 class Engine:
@@ -114,7 +83,7 @@ class Engine:
             default for queries that omit one, and whose library
             selection seeds discovery.  Defaults to ``Session()``
             (the paper's configuration).
-        max_results / max_netlists / max_libraries: LRU capacities.
+        max_results: result LRU capacity.
         store: optional sweep-format result store (a
             :class:`~repro.sweep.store.ResultStore` or a path, suffix
             selecting the backend).  Every computed answer is appended
@@ -126,27 +95,17 @@ class Engine:
 
     def __init__(self, session: Optional[Session] = None, *,
                  max_results: int = DEFAULT_MAX_RESULTS,
-                 max_netlists: int = DEFAULT_MAX_NETLISTS,
-                 max_libraries: int = DEFAULT_MAX_LIBRARIES,
                  store: Optional[Union[str, Path, Any]] = None):
         self.session = session if session is not None else Session()
-        self._results = _LruCache(max_results)
-        self._netlists = _LruCache(max_netlists)
-        self._libraries = _LruCache(max_libraries)
+        self._results = LruCache("results", max_results)
         self._lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
         self._generation = registry.generation()
         self.counters: Counter = Counter()
         self.started_monotonic = time.monotonic()
-        # The activity cache is process-wide; counters are reported
-        # relative to this engine's start, so /healthz approximates
-        # *its* traffic (other sessions in the process also move them).
-        self._stats_baseline = activity_cache_info()
-        # Same baseline treatment for the foundry's artifact counters
-        # and the SPICE solve meter: /healthz reports what happened on
-        # this engine's watch, zero on a fully-prebuilt artifact store.
-        self._foundry_baseline = foundry.foundry_counters()
-        self._solves_baseline = spice_solve_count()
+        # /healthz reports the counter registry's diff against this
+        # (other sessions in the process also move the counters).
+        self._baseline = obs.snapshot()
         if store is None:
             self._store = None
             self._store_index: Dict[str, Any] = {}
@@ -194,79 +153,62 @@ class Engine:
     def stats(self) -> Dict[str, Any]:
         """Uptime, cache occupancy and counters (the ``/healthz``
         payload body)."""
-        activity = activity_cache_info()
-        baseline = self._stats_baseline
-        # Clamped at zero: the global counters can be reset under us
-        # (activity.clear_cache(reset_counters=True)), and negative
-        # health numbers help nobody.
-        stats_hot = max(0, activity["hits"] - baseline["hits"])
-        stats_cold = max(0, activity["simulations"]
-                         - baseline["simulations"])
+        delta = obs.diff(self._baseline)
+
+        def lru(cache: LruCache) -> Dict[str, Any]:
+            return {"size": len(cache), "max": cache.maxsize,
+                    "hits": delta[cache.name + ".hits"],
+                    "misses": delta[cache.name + ".misses"]}
+
         with self._lock:
             counters = dict(self.counters)
-            counters["stats.hot"] = stats_hot
-            counters["stats.cold"] = stats_cold
-            return {
-                "version": __version__,
-                "uptime_s": time.monotonic() - self.started_monotonic,
-                "default_config": self.session.config.to_dict(),
-                "store": str(self._store.path) if self._store is not None
-                else None,
-                "caches": {
-                    "results": {"size": len(self._results),
-                                "max": self._results.maxsize,
-                                "hits": self._results.hits,
-                                "misses": self._results.misses},
-                    "netlists": {"size": len(self._netlists),
-                                 "max": self._netlists.maxsize,
-                                 "hits": self._netlists.hits,
-                                 "misses": self._netlists.misses},
-                    "libraries": {"size": len(self._libraries),
-                                  "max": self._libraries.maxsize,
-                                  "hits": self._libraries.hits,
-                                  "misses": self._libraries.misses},
-                    "stats": {"size": activity["size"],
-                              "max": activity["max"],
-                              "hits": stats_hot,
-                              "misses": max(0, activity["misses"]
-                                            - baseline["misses"])},
-                    # Static-timing reports (repro.timing): process-
-                    # wide like the stats cache, absolute counters.
-                    "timing": timing_cache_info(),
-                    # Disk-cache integrity (process lifetime):
-                    # quarantined > 0 means corrupt entries were found,
-                    # moved aside and transparently recomputed.
-                    "disk": cache_stats(),
-                },
-                "sim": self._sim_stats(),
-                "foundry": self._foundry_stats(),
-                "counters": counters,
-            }
+        counters["stats.hot"] = delta["activity.hits"]
+        counters["stats.cold"] = delta["activity.computes"]
+        return {
+            "version": __version__,
+            "uptime_s": time.monotonic() - self.started_monotonic,
+            "default_config": self.session.config.to_dict(),
+            "store": str(self._store.path) if self._store is not None
+            else None,
+            "caches": {
+                "results": lru(self._results),
+                "netlists": lru(MAPPED_NETLISTS),
+                "libraries": obs.section(delta, "libraries",
+                                         ("hits", "misses")),
+                "stats": lru(activity.LADDER.lru),
+                "timing": {**lru(timing.LADDER.lru),
+                           "disk_hits": delta["timing.disk_hits"],
+                           "computes": delta["timing.computes"]},
+                # quarantined > 0 means corrupt entries were found,
+                # moved aside and transparently recomputed.
+                "disk": obs.section(delta, "disk", DISK_COUNTERS),
+            },
+            "sim": self._sim_stats(delta),
+            # spice_solves is the acceptance meter: a server running
+            # against a complete prebuilt artifact store holds it at 0.
+            "foundry": {**obs.section(delta, "foundry",
+                                      foundry.FOUNDRY_COUNTERS),
+                        "spice_solves": delta["spice.solves"]},
+            "counters": counters,
+        }
 
-    def _foundry_stats(self) -> Dict[str, int]:
-        """Artifact hits vs live solves since this engine started.
+    def _sim_stats(self, delta: Mapping[str, float]) -> Dict[str, Any]:
+        """Kernel-selection policy and per-kernel throughput since this
+        engine started (part of the ``/healthz`` payload)."""
+        from repro.sim.kernels import AUTO_ARRAY_THRESHOLD
 
-        ``spice_solves`` is the acceptance meter: a server running
-        against a complete prebuilt artifact store must hold it at 0.
-        """
-        current = foundry.foundry_counters()
-        baseline = self._foundry_baseline
-        out = {name.replace("artifact.", "artifact_"):
-               max(0, current[name] - baseline.get(name, 0))
-               for name in current}
-        out["spice_solves"] = max(0, spice_solve_count()
-                                  - self._solves_baseline)
-        return out
-
-    def _sim_stats(self) -> Dict[str, Any]:
-        """Kernel-selection policy and cumulative per-kernel throughput
-        counters (part of the ``/healthz`` payload)."""
-        from repro.sim.kernels import AUTO_ARRAY_THRESHOLD, kernel_counters
-
+        kernels = {}
+        for kernel in ("gate", "array"):
+            meters = obs.section(delta, f"sim.kernel.{kernel}",
+                                 ("simulations", "gate_evals", "elapsed_s"))
+            elapsed = meters["elapsed_s"]
+            meters["gate_evals_per_s"] = (meters["gate_evals"] / elapsed
+                                          if elapsed > 0 else 0.0)
+            kernels[kernel] = meters
         return {
             "default_kernel": self.session.config.sim_kernel,
             "auto_array_threshold": AUTO_ARRAY_THRESHOLD,
-            "kernels": kernel_counters(),
+            "kernels": kernels,
         }
 
     def bump(self, name: str, amount: int = 1) -> None:
@@ -292,12 +234,12 @@ class Engine:
         means; every name-keyed warm entry is then suspect — including
         stored records (their task_key hashes the *name*).  The store
         itself is last-write-wins, so recomputed answers simply
-        overwrite the stale lines.  Caller holds the engine lock.
+        overwrite the stale lines.  (The netlist memo keys on the
+        generation itself, and the registry drops a re-registered
+        library's builds.)  Caller holds the engine lock.
         """
         if registry.generation() != self._generation:
             self._results.clear()
-            self._netlists.clear()
-            self._libraries.clear()
             self._store_index.clear()
             self._generation = registry.generation()
             self.counters["caches.invalidated"] += 1
@@ -354,16 +296,12 @@ class Engine:
                 self._revalidate_locked()
                 report = self._results.get(key)
                 if report is not None:
-                    self._results.hits += 1
                     self.counters["results.hot"] += 1
                     return report.with_status(
                         "hot", time.perf_counter() - start)
-                self._results.misses += 1
                 if self._store is not None:
                     record = self._store_index.get(key)
                     if record is not None:
-                        from repro.schema import quote_from_record
-
                         report = quote_from_record(
                             record, server_version=__version__)
                         self._results.put(key, report)
@@ -426,8 +364,6 @@ class Engine:
             self.counters["results.cold"] += 1
         leader_future.set_result(report)
         if self._store is not None and still_fresh:
-            from repro.schema import store_record
-
             record = store_record(query, report.result, report.elapsed_s)
             self._store.append(record)
             with self._lock:
@@ -483,18 +419,6 @@ class Engine:
             self.counters["optimize.frontier"] += len(report.frontier)
         return report
 
-    def library_for(self, key: str, vdd: float):
-        """A characterized library through the engine LRU (public form
-        of :meth:`_library`, for :mod:`repro.optimize`)."""
-        return self._library(key, vdd)
-
-    def netlist_for(self, query: PowerQuery, library=None):
-        """The mapped netlist of a (normalized) query through the
-        engine LRU."""
-        if library is None:
-            library = self._library(query.library, query.config.vdd)
-        return self._netlist(query, library)
-
     def cached_report(self, query: PowerQuery
                       ) -> Optional[PowerQuoteReport]:
         """A warm answer for a normalized query, or ``None``.
@@ -510,17 +434,13 @@ class Engine:
             self._revalidate_locked()
             report = self._results.get(key)
             if report is not None:
-                self._results.hits += 1
                 self.counters["results.hot"] += 1
                 return report.with_status("hot",
                                           time.perf_counter() - start)
-            self._results.misses += 1
             record = self._store_index.get(key) \
                 if self._store is not None else None
         if record is None:
             return None
-        from repro.schema import quote_from_record
-
         report = quote_from_record(record, server_version=__version__)
         with self._lock:
             if registry.generation() == self._generation:
@@ -544,8 +464,6 @@ class Engine:
                 self._results.put(key, report)
             self.counters["results.cold"] += 1
         if self._store is not None and still_fresh:
-            from repro.schema import store_record
-
             record = store_record(query, report.result, report.elapsed_s)
             self._store.append(record)
             with self._lock:
@@ -553,52 +471,6 @@ class Engine:
                     self._store_index[key] = record
 
     # -- the cold path -----------------------------------------------------
-
-    def _cached(self, cache: _LruCache, key: str,
-                build: Callable[[], Any]) -> Any:
-        """Engine-LRU lookup under the lock; build (slow) outside it.
-
-        Two threads may race to build the same entry; both builds are
-        deterministic and content-addressed, so the second ``put`` is
-        redundant rather than wrong (the same trade the disk cache in
-        :mod:`repro.cache` makes).
-        """
-        with self._lock:
-            value = cache.get(key)
-            if value is not None:
-                cache.hits += 1
-                return value
-            cache.misses += 1
-        value = build()
-        with self._lock:
-            cache.put(key, value)
-        return value
-
-    def _library(self, key: str, vdd: float):
-        """A characterized library, engine-LRU over the registry cache."""
-        content_key = stable_hash({"library": key, "vdd": vdd})
-        return self._cached(self._libraries, content_key,
-                            lambda: registry.cached_library(key, vdd))
-
-    def _netlist(self, query: PowerQuery, library):
-        """The mapped netlist of a query, LRU-keyed by what shapes it."""
-        config = query.config
-        content_key = stable_hash({
-            "circuit": query.circuit,
-            "library": query.library,
-            "vdd": config.vdd,
-            "synthesize": config.synthesize,
-            "mapper_cut_size": config.mapper_cut_size,
-            "mapper_cut_limit": config.mapper_cut_limit,
-            "mapper_area_rounds": config.mapper_area_rounds,
-        })
-
-        def build():
-            subject = synthesized_benchmark(query.circuit,
-                                            config.synthesize)
-            return map_subject(subject, library, config)
-
-        return self._cached(self._netlists, content_key, build)
 
     def _compute(self, query: PowerQuery,
                  deadline: Optional[Deadline] = None) -> PowerQuoteReport:
@@ -617,9 +489,9 @@ class Engine:
         faults.sleep_latency("engine.latency", context=query.circuit)
         config = query.config
         deadline.check("characterize")
-        library = self._library(query.library, config.vdd)
+        library = registry.cached_library(query.library, config.vdd)
         deadline.check("map")
-        netlist = self._netlist(query, library)
+        netlist = mapped_netlist(query.circuit, library, config)
         deadline.check("estimate")
         flow = estimate_mapped(netlist, config, circuit=query.circuit,
                                library=query.library)

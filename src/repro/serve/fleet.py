@@ -155,7 +155,6 @@ def _worker_main(slot: int, sock: socket.socket, config,
     serves the shared service socket, answers supervisor probes on a
     private loopback admin port, and heartbeats to ``run_dir``.
     """
-    from repro import cache as disk_cache
     from repro import timing
     from repro.api import Session
     from repro.serve.engine import Engine
@@ -167,14 +166,13 @@ def _worker_main(slot: int, sock: socket.socket, config,
     # its per-worker SIGTERM.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    # Fork semantics: the child inherits every module-level cache and
-    # counter the parent process had accumulated.  A worker must start
-    # cold — an inherited warm stats LRU would silently answer "cold"
-    # queries without simulating, and inherited counters would be
-    # double-counted by the supervisor's fleet-wide aggregation.
-    activity.clear_cache(reset_counters=True)
-    timing.clear_cache(reset_counters=True)
-    disk_cache.reset_cache_stats()
+    # Fork semantics: the child inherits every module-level cache the
+    # parent process had accumulated.  A worker must start cold — an
+    # inherited warm stats LRU would silently answer "cold" queries
+    # without simulating.  Inherited counts need nothing: the engine
+    # below snapshots the counter registry when it is built.
+    activity.LADDER.lru.clear()
+    timing.LADDER.lru.clear()
 
     engine = Engine(Session(config), store=store)
     meta = {"slot": slot, "pid": os.getpid()}

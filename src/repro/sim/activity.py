@@ -32,11 +32,9 @@ cold key; both simulations are deterministic and identical.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
-from repro.cache import default_cache, single_flight, stable_hash
+from repro.cache import Ladder, stable_hash
 from repro.sim.bitsim import (
     _WORD_BITS,
     DEFAULT_STATE_SAMPLE,
@@ -146,85 +144,37 @@ def pricing_group_key(circuit: str, library: str, config) -> str:
     })
 
 
-class _StatsCache:
-    """The process-wide LRU of simulation statistics (thread-safe)."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.simulations = 0
-        self._lock = threading.Lock()
-        self._data: "OrderedDict[str, SimulationStats]" = OrderedDict()
-
-    def get(self, key: str) -> Optional[SimulationStats]:
-        with self._lock:
-            stats = self._data.get(key)
-            if stats is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return stats
-
-    def put(self, key: str, stats: SimulationStats) -> None:
-        with self._lock:
-            self._data[key] = stats
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def info(self) -> Dict[str, int]:
-        with self._lock:
-            return {"size": len(self._data), "max": self.maxsize,
-                    "hits": self.hits, "misses": self.misses,
-                    "disk_hits": self.disk_hits,
-                    "simulations": self.simulations}
-
-    def clear(self, reset_counters: bool = False) -> None:
-        with self._lock:
-            self._data.clear()
-            if reset_counters:
-                self.hits = self.misses = 0
-                self.disk_hits = self.simulations = 0
-
-
-_CACHE = _StatsCache(DEFAULT_MAX_CACHED_STATS)
-
-
-def cache_info() -> Dict[str, int]:
-    """Occupancy and hit/miss/simulation counters of the stats LRU."""
-    return _CACHE.info()
-
-
-def clear_cache(reset_counters: bool = False) -> None:
-    """Drop every cached entry (tests and memory-pressure escape hatch)."""
-    _CACHE.clear(reset_counters)
-
-
-def _valid_payload(payload: Any, netlist, n_patterns: int,
-                   state_patterns: int) -> bool:
-    """Structural check of a disk entry against the requesting netlist."""
+def _decode(payload: Any, request) -> Optional[SimulationStats]:
+    """A disk entry as statistics, if it fits the requesting netlist."""
+    netlist, n_patterns, state_patterns = request
     if not isinstance(payload, dict):
-        return False
+        return None
     if payload.get("n_patterns") != n_patterns:
-        return False
+        return None
     if payload.get("n_state_patterns") != state_patterns:
-        return False
+        return None
     toggles = payload.get("toggles")
     counts = payload.get("state_counts")
     if not isinstance(toggles, dict) or not isinstance(counts, dict):
-        return False
+        return None
     library = netlist.library
     for gate in netlist.gates:
         entry = counts.get(gate.name)
         size = 1 << library.cell(gate.cell).n_inputs
         if not isinstance(entry, list) or len(entry) != size:
-            return False
+            return None
         if gate.output not in toggles:
-            return False
-    return all(name in toggles for name in netlist.pi_names)
+            return None
+    if not all(name in toggles for name in netlist.pi_names):
+        return None
+    return SimulationStats.from_payload(payload)
+
+
+#: The process-wide stats ladder (LRU, disk, single-flight).  Its
+#: counters are ``activity.*``; ``activity.computes`` counts
+#: simulations.
+LADDER = Ladder(ACTIVITY_NAMESPACE, SimulationStats.to_payload, _decode,
+                maxsize=DEFAULT_MAX_CACHED_STATS)
 
 
 def simulation_stats(netlist, n_patterns: int, seed: int = 2010,
@@ -232,9 +182,10 @@ def simulation_stats(netlist, n_patterns: int, seed: int = 2010,
                      kernel: str = "auto") -> SimulationStats:
     """The (cached) simulation statistics of a mapped netlist.
 
-    Checks the per-process LRU, then the :mod:`repro.cache` disk store,
-    and only then runs the bit-parallel simulation with the selected
-    kernel (:func:`repro.sim.kernels.run_simulation`).  ``kernel`` is
+    Climbs :data:`LADDER` — the per-process LRU, then the
+    :mod:`repro.cache` disk store — and only then runs the bit-parallel
+    simulation with the selected kernel
+    (:func:`repro.sim.kernels.run_simulation`).  ``kernel`` is
     execution policy only — the gate and array kernels are
     bit-identical, so it is deliberately absent from the cache key and
     a warm entry answers every kernel's request.  The returned object
@@ -244,47 +195,18 @@ def simulation_stats(netlist, n_patterns: int, seed: int = 2010,
     (:func:`repro.cache.single_flight`): when several worker processes
     of a serving fleet miss the same key at once, exactly one runs the
     simulation while the others poll the disk tier for its entry — and
-    take over leadership if it dies mid-compute.  The ``simulations``
-    counter therefore counts *fleet-wide* work when summed across
-    workers.
+    take over leadership if it dies mid-compute.  The
+    ``activity.computes`` counter therefore counts *fleet-wide* work
+    when summed across workers.
     """
     key = activity_key(netlist, n_patterns, seed, state_patterns)
-    stats = _CACHE.get(key)
-    if stats is not None:
-        return stats
-    disk = default_cache()
-    effective = effective_state_patterns(n_patterns, state_patterns)
-
-    def probe() -> Optional[SimulationStats]:
-        payload = disk.get(ACTIVITY_NAMESPACE, key)
-        if not _valid_payload(payload, netlist, n_patterns, effective):
-            return None
-        try:
-            return SimulationStats.from_payload(payload)
-        except (TypeError, ValueError, KeyError):
-            return None
-
-    simulated = []
+    request = (netlist, n_patterns,
+               effective_state_patterns(n_patterns, state_patterns))
 
     def compute() -> SimulationStats:
         from repro.sim.kernels import run_simulation
 
-        simulated.append(True)
-        stats = run_simulation(netlist, n_patterns, seed, state_patterns,
-                               kernel=kernel)
-        with _CACHE._lock:
-            _CACHE.simulations += 1
-        disk.put(ACTIVITY_NAMESPACE, key, stats.to_payload())
-        return stats
+        return run_simulation(netlist, n_patterns, seed, state_patterns,
+                              kernel=kernel)
 
-    stats = probe()
-    if stats is None:
-        stats = single_flight(disk, ACTIVITY_NAMESPACE, key,
-                              compute, probe)
-    if not simulated:
-        # Served from the disk tier (directly, or from a single-flight
-        # leader's entry after waiting) — either way a disk hit.
-        with _CACHE._lock:
-            _CACHE.disk_hits += 1
-    _CACHE.put(key, stats)
-    return stats
+    return LADDER.get(key, request, compute)

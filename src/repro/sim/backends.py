@@ -46,7 +46,8 @@ from repro.sim.estimator import (
     leakage_currents,
     switched_capacitance,
 )
-from repro.synth.netlist import MappedNetlist, static_timing
+from repro.synth.netlist import MappedNetlist
+from repro.timing import timing_report
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.config import ExperimentConfig
@@ -234,7 +235,7 @@ class SpiceTransientBackend:
 
         total_i_off, total_i_gate = leakage_currents(netlist, stats)
 
-        delay, _ = static_timing(netlist)
+        delay = timing_report(netlist).critical_delay_s
         return CircuitPowerReport(
             circuit=netlist.name,
             library=library.name,

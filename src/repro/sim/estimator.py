@@ -29,7 +29,6 @@ path are interchangeable anywhere.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.cache import default_cache, stable_hash
+from repro.cache import DiskCache, Ladder, LruCache, stable_hash
 from repro.errors import SimulationError
 from repro.gates.library import Library
 from repro.power.model import (
@@ -106,7 +105,8 @@ class _LeakageTables:
     ``i_gate[cell][v]`` the gate-tunneling current.  Built once per
     library via the pattern simulator (Fig. 5 flow), reused across
     circuits, and persisted through :mod:`repro.cache` so repeat runs
-    and worker processes skip the SPICE characterization entirely.
+    and worker processes skip the SPICE characterization entirely (and
+    cold workers characterize a library once between them).
     """
 
     _cache: "weakref.WeakKeyDictionary[Library, _LeakageTables]"
@@ -168,26 +168,33 @@ class _LeakageTables:
         return True
 
     @classmethod
-    def for_library(cls, library: Library) -> "_LeakageTables":
+    def _decode(cls, stored, library: Library) -> Optional["_LeakageTables"]:
+        if not cls._valid_stored(stored, library):
+            return None
+        return cls(library, stored)
+
+    @classmethod
+    def for_library(cls, library: Library,
+                    disk: Optional[DiskCache] = None) -> "_LeakageTables":
+        """The library's tables: its instance memo, then the ladder.
+
+        ``disk`` overrides the environment's store (the foundry builds
+        against its own artifact root).
+        """
         tables = cls._cache.get(library)
-        if tables is not None:
-            return tables
-        disk = default_cache()
-        key = _library_content_key(library)
-        stored = disk.get(_LEAKAGE_NAMESPACE, key)
-        tables = None
-        if cls._valid_stored(stored, library):
-            try:
-                tables = cls(library, stored)
-            except (TypeError, ValueError):
-                # Corrupt element values degrade to a cache miss, per
-                # the repro.cache contract.
-                tables = None
         if tables is None:
-            tables = cls(library)
-            disk.put(_LEAKAGE_NAMESPACE, key, tables._serialize())
-        cls._cache[library] = tables
+            tables = _LEAKAGE_LADDER.get(_library_content_key(library),
+                                         library, lambda: cls(library),
+                                         disk)
+            cls._cache[library] = tables
         return tables
+
+
+#: Leakage tables climb the shared ladder without an LRU tier: the
+#: instance memo on each library already holds them.  Its counters are
+#: ``leakage.*``.
+_LEAKAGE_LADDER = Ladder(_LEAKAGE_NAMESPACE, _LeakageTables._serialize,
+                         _LeakageTables._decode)
 
 
 def switched_capacitance(netlist: MappedNetlist) -> Dict[str, float]:
@@ -242,19 +249,16 @@ class PricingModel:
         self.switched_caps = np.array(
             [caps[gate.output] for gate in netlist.gates])
         self.outputs = tuple(gate.output for gate in netlist.gates)
-        # The cached timing report's critical delay is bit-identical to
-        # static_timing(netlist)[0] (locked by tests); routing through
-        # repro.timing shares the report with the feasibility layer.
+        # Routing through repro.timing shares the cached report with
+        # the feasibility layer.
         self.timing = timing_report(netlist)
         self.delay = self.timing.critical_delay_s
         self.tables = _LeakageTables.for_library(netlist.library)
         self._gates = tuple((gate.name, gate.cell)
                             for gate in netlist.gates)
-        self._bound: "OrderedDict[int, BoundPricing]" = OrderedDict()
-        # Server threads may bind different stats concurrently on one
-        # memoized model; the tiny LRU needs the same protection every
-        # other shared cache takes.
-        self._bound_lock = threading.Lock()
+        # Thread-safe: server threads may bind different stats
+        # concurrently on one memoized model.
+        self._bound = LruCache("pricing.bound", _MAX_BOUND)
 
     @classmethod
     def for_netlist(cls, netlist: MappedNetlist) -> "PricingModel":
@@ -272,17 +276,10 @@ class PricingModel:
         stats object, so the ``id``-based key cannot alias a collected
         object; the ``is`` check guards against identity reuse anyway.
         """
-        key = id(stats)
-        with self._bound_lock:
-            bound = self._bound.get(key)
-            if bound is not None and bound.stats is stats:
-                self._bound.move_to_end(key)
-                return bound
-        bound = BoundPricing(self, stats)
-        with self._bound_lock:
-            self._bound[key] = bound
-            while len(self._bound) > _MAX_BOUND:
-                self._bound.popitem(last=False)
+        bound = self._bound.get(id(stats))
+        if bound is None or bound.stats is not stats:
+            bound = BoundPricing(self, stats)
+            self._bound.put(id(stats), bound)
         return bound
 
 

@@ -17,17 +17,19 @@ with configs, but it is deliberately **excluded** from activity keys,
 query keys and task keys — a cached result answers every kernel's
 query, and a sweep store written by one kernel warm-starts the other.
 
-Every simulation executed through :func:`run_simulation` is metered:
-cumulative simulations, gate-evaluations (gates x patterns) and wall
-time per kernel, surfaced by ``/v1/healthz`` as gate-evals/s.
+Every simulation executed through :func:`run_simulation` is metered
+in :mod:`repro.obs`: simulations, gate-evaluations (gates x patterns)
+and wall time per kernel (``sim.kernel.<kernel>.simulations`` /
+``.gate_evals`` / ``.elapsed_s``), surfaced by ``/v1/healthz`` as
+gate-evals/s.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Dict, Optional
+from typing import Optional
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.experiments.config import SIM_KERNELS
 from repro.sim.arraysim import ArraySimulator
@@ -37,11 +39,6 @@ from repro.sim.bitsim import BitParallelSimulator, SimulationStats
 #: Below it the per-gate path's lower constant cost wins; above it the
 #: levelized groups amortize the Python dispatch over whole levels.
 AUTO_ARRAY_THRESHOLD = 4096
-
-_LOCK = threading.Lock()
-_COUNTERS: Dict[str, Dict[str, float]] = {
-    kernel: {"simulations": 0, "gate_evals": 0, "elapsed_s": 0.0}
-    for kernel in ("gate", "array")}
 
 
 def select_kernel(kernel: str, gate_count: int) -> str:
@@ -74,39 +71,8 @@ def run_simulation(netlist, n_patterns: int, seed: int = 2010,
     start = time.perf_counter()
     stats = simulator.run(n_patterns, seed, state_patterns)
     elapsed = time.perf_counter() - start
-    with _LOCK:
-        counter = _COUNTERS[chosen]
-        counter["simulations"] += 1
-        counter["gate_evals"] += netlist.gate_count * n_patterns
-        counter["elapsed_s"] += elapsed
+    prefix = f"sim.kernel.{chosen}."
+    obs.count(prefix + "simulations")
+    obs.count(prefix + "gate_evals", netlist.gate_count * n_patterns)
+    obs.count(prefix + "elapsed_s", elapsed)
     return stats
-
-
-def kernel_counters() -> Dict[str, Dict[str, float]]:
-    """Cumulative per-kernel meters (process lifetime).
-
-    ``gate_evals`` counts mapped gates x simulated patterns;
-    ``gate_evals_per_s`` is the derived cumulative throughput (0.0
-    before the first simulation).
-    """
-    with _LOCK:
-        out: Dict[str, Dict[str, float]] = {}
-        for kernel, counter in _COUNTERS.items():
-            elapsed = counter["elapsed_s"]
-            out[kernel] = {
-                "simulations": int(counter["simulations"]),
-                "gate_evals": int(counter["gate_evals"]),
-                "elapsed_s": elapsed,
-                "gate_evals_per_s": (counter["gate_evals"] / elapsed
-                                     if elapsed > 0 else 0.0),
-            }
-        return out
-
-
-def reset_kernel_counters() -> None:
-    """Zero the per-kernel meters (tests)."""
-    with _LOCK:
-        for counter in _COUNTERS.values():
-            counter["simulations"] = 0
-            counter["gate_evals"] = 0
-            counter["elapsed_s"] = 0.0

@@ -24,9 +24,9 @@ exactly where it stopped.
 Worker-side caching mirrors the Table 1 grid: benchmarks are built and
 synthesized once per process, libraries characterized once per process
 *per supply voltage* (the vdd axis re-characterizes timing and leakage
-through ``TechnologyParams.with_vdd``), mapped netlists are cached per
-(circuit, library, vdd, synthesize, mapper options), and simulation
-statistics live in the :mod:`repro.sim.activity` LRU + disk cache, so
+through ``TechnologyParams.with_vdd``), mapped netlists come from the
+flow's memo (:func:`repro.experiments.flow.mapped_netlist`), and
+simulation statistics climb the :mod:`repro.sim.activity` ladder, so
 even across groups and runs nothing simulates twice.
 """
 
@@ -34,19 +34,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro import obs
 from repro.experiments.flow import (
     estimate_mapped,
     flow_from_power_report,
-    map_subject,
-    synthesized_benchmark,
+    mapped_netlist,
 )
-from repro.experiments.config import ExperimentConfig
 from repro.registry import cached_library
 from repro.sim.activity import (
-    cache_info as activity_cache_info,
     netlist_activity_key,
     pricing_group_key,
     simulation_stats,
@@ -55,31 +52,15 @@ from repro.sweep.spec import SweepSpec, SweepTask
 from repro.sweep.store import ResultStore, record_for
 
 
-@lru_cache(maxsize=64)
-def _mapped_netlist(circuit: str, library_key: str, vdd: float,
-                    synthesize: bool, cut_size: int, cut_limit: int,
-                    area_rounds: int):
-    """Per-process cache of mapped netlists, keyed by what shapes them.
-
-    ``vdd`` is part of the key because the library is characterized at
-    the point's supply voltage (timing and leakage are vdd-dependent),
-    so mapping legitimately differs across the vdd axis.
-    """
-    subject = synthesized_benchmark(circuit, synthesize)
-    library = cached_library(library_key, vdd)
-    options = ExperimentConfig(
-        synthesize=synthesize, mapper_cut_size=cut_size,
-        mapper_cut_limit=cut_limit, mapper_area_rounds=area_rounds)
-    return map_subject(subject, library, options)
-
-
 def _task_netlist(task: SweepTask):
-    """The mapped netlist of one task, from the per-process cache."""
-    config = task.config
-    return _mapped_netlist(
-        task.circuit, task.library, config.vdd, config.synthesize,
-        config.mapper_cut_size, config.mapper_cut_limit,
-        config.mapper_area_rounds)
+    """The mapped netlist of one task, from the per-process memo.
+
+    The library is characterized at the point's supply voltage (timing
+    and leakage are vdd-dependent), so mapping legitimately differs
+    across the vdd axis.
+    """
+    library = cached_library(task.library, task.config.vdd)
+    return mapped_netlist(task.circuit, library, task.config)
 
 
 def run_sweep_task(task: SweepTask) -> Dict[str, Any]:
@@ -138,13 +119,12 @@ def run_sweep_group(tasks: Sequence[SweepTask]) -> Dict[str, Any]:
         faults.maybe_crash_worker(f"{task.circuit}/{task.library}")
 
     start = time.perf_counter()
-    simulated_before = activity_cache_info()["simulations"]
+    before = obs.snapshot()
     config = tasks[0].config
     if config.backend != "bitsim":
         records = [run_sweep_task(task) for task in tasks]
         return {"records": records,
-                "simulations": (activity_cache_info()["simulations"]
-                                - simulated_before)}
+                "simulations": obs.diff(before)["activity.computes"]}
 
     from repro.sim.estimator import estimate_many
 
@@ -183,8 +163,7 @@ def run_sweep_group(tasks: Sequence[SweepTask]) -> Dict[str, Any]:
         record["elapsed_s"] = per_point
         ordered.append(record)
     return {"records": ordered,
-            "simulations": (activity_cache_info()["simulations"]
-                            - simulated_before)}
+            "simulations": obs.diff(before)["activity.computes"]}
 
 
 @dataclass

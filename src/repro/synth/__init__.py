@@ -11,7 +11,7 @@ pipeline:
 * :mod:`repro.synth.cuts` — k-feasible priority cuts with truth tables;
 * :mod:`repro.synth.mapper` — phase-aware structural technology mapping
   with delay-oriented covering and area recovery;
-* :mod:`repro.synth.netlist` — the mapped netlist plus static timing.
+* :mod:`repro.synth.netlist` — the mapped netlist.
 
 Submodules are exposed lazily (PEP 562) because :mod:`repro.gates`
 imports the truth-table helpers from here while the mapper imports the
@@ -34,7 +34,6 @@ __all__ = [
     "MappingOptions",
     "MappedNetlist",
     "MappedGate",
-    "static_timing",
 ]
 
 _LAZY = {
@@ -45,7 +44,6 @@ _LAZY = {
     "MappingOptions": "repro.synth.mapper",
     "MappedNetlist": "repro.synth.netlist",
     "MappedGate": "repro.synth.netlist",
-    "static_timing": "repro.synth.netlist",
 }
 
 

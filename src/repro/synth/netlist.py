@@ -1,4 +1,4 @@
-"""Mapped (technology-bound) netlists and static timing analysis.
+"""Mapped (technology-bound) netlists.
 
 A :class:`MappedNetlist` is a DAG of library-cell instances connected by
 named nets.  Gates are stored in topological order (the mapper emits
@@ -139,27 +139,3 @@ class MappedNetlist:
         nets = list(self.pi_names)
         nets.extend(gate.output for gate in self.gates)
         return nets
-
-
-def static_timing(netlist: MappedNetlist,
-                  po_extra_load: Optional[float] = None
-                  ) -> Tuple[float, Dict[str, float]]:
-    """Compute arrival times and the critical-path delay.
-
-    Gate delay uses the library's linear model with the *actual* load of
-    the driven net.  Returns ``(critical_delay, arrival_by_net)``.
-    """
-    library = netlist.library
-    loads = netlist.net_loads(po_extra_load)
-    arrival: Dict[str, float] = {net: 0.0 for net in netlist.pi_names}
-    for gate in netlist.gates:
-        input_arrival = max((arrival[net] for net in gate.inputs),
-                            default=0.0)
-        delay = library.timing(gate.cell).delay(loads[gate.output])
-        arrival[gate.output] = input_arrival + delay
-    critical = 0.0
-    for _, binding in netlist.po_bindings:
-        kind, value = binding
-        if kind == "net":
-            critical = max(critical, arrival[value])
-    return critical, arrival

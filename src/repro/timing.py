@@ -1,8 +1,7 @@
 """Static timing analysis as a first-class, cacheable subsystem.
 
-The power model has always needed the critical delay (Table 1's delay
-column, the EDP definition); :func:`repro.synth.netlist.static_timing`
-computes it inline.  The design-space optimizer additionally needs
+The power model needs the critical delay (Table 1's delay column, the
+EDP definition).  The design-space optimizer additionally needs
 *feasibility*: a (vdd, frequency) operating point is meaningless when
 the clock period is shorter than the critical path of the circuit
 mapped at that supply.  This module owns that timing model:
@@ -21,9 +20,10 @@ mapped at that supply.  This module owns that timing model:
 * :func:`timing_report` — the cached entry point.  Reports are
   content-addressed by everything the numbers depend on (netlist
   structure *plus* the library's electrical characterization, which is
-  vdd-dependent) and persisted through :mod:`repro.cache` exactly like
+  vdd-dependent) and climb the same :class:`~repro.cache.Ladder` as
   activity statistics, so a server answering feasibility questions for
-  a known (circuit, library, vdd) never re-propagates.
+  a known (circuit, library, vdd) never re-propagates, and a fleet of
+  cold workers propagates once.
 
 Timing is vdd-aware through the library: a library characterized at a
 different supply has different cell timings, so the same circuit
@@ -33,14 +33,11 @@ yields a different report (and a different cache key) per vdd.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.cache import default_cache, stable_hash
+from repro.cache import Ladder, stable_hash
 from repro.errors import SimulationError
-from repro.sim.activity import netlist_activity_key
 from repro.synth.netlist import MappedNetlist
 
 #: Disk-cache namespace for persisted timing reports.
@@ -80,9 +77,8 @@ class PathSegment:
 class TimingReport:
     """The static-timing answer for one mapped netlist.
 
-    ``critical_delay_s`` is the worst PO arrival — identical, bit for
-    bit, to the delay :func:`repro.synth.netlist.static_timing` reports
-    (and therefore to the Table 1 delay column).  ``fmax_hz`` is its
+    ``critical_delay_s`` is the worst PO arrival — the Table 1 delay
+    column.  ``fmax_hz`` is its
     reciprocal: the fastest clock at which every output settles within
     one period.  A gateless (constant-output) circuit has zero delay
     and an unbounded ``fmax_hz`` (``math.inf``).
@@ -162,9 +158,8 @@ def arrival_times(netlist: MappedNetlist,
     """Topological arrival propagation; ``(critical, arrival_by_net)``.
 
     ``loads=None`` uses the real per-net fanout capacitances
-    (:meth:`MappedNetlist.net_loads`, plus the PO external load) —
-    this mode is bit-identical to
-    :func:`repro.synth.netlist.static_timing`.  An explicit ``loads``
+    (:meth:`MappedNetlist.net_loads`, plus the PO external load) — the
+    Table 1 delay model.  An explicit ``loads``
     mapping (net -> farads) replays an alternative load model; passing
     a netlist's :attr:`~MappedNetlist.mapper_loads` reproduces the
     mapper's internal delay-DP arrivals exactly.
@@ -254,6 +249,10 @@ def netlist_timing_key(netlist: MappedNetlist) -> str:
     same circuit mapped on the same library at a different supply has
     different electricals and therefore a different key.
     """
+    # Imported here: repro.sim's package init imports this module, so a
+    # top-level import would make ``import repro.timing`` circular.
+    from repro.sim.activity import netlist_activity_key
+
     library = netlist.library
     cell_names = sorted({gate.cell for gate in netlist.gates})
     inverter = library.inverter()
@@ -278,117 +277,46 @@ def netlist_timing_key(netlist: MappedNetlist) -> str:
     })
 
 
-class _TimingCache:
-    """The process-wide LRU of timing reports (thread-safe)."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.computes = 0
-        self._lock = threading.Lock()
-        self._data: "OrderedDict[str, TimingReport]" = OrderedDict()
-
-    def get(self, key: str) -> Optional[TimingReport]:
-        with self._lock:
-            report = self._data.get(key)
-            if report is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return report
-
-    def put(self, key: str, report: TimingReport) -> None:
-        with self._lock:
-            self._data[key] = report
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def info(self) -> Dict[str, int]:
-        with self._lock:
-            return {"size": len(self._data), "max": self.maxsize,
-                    "hits": self.hits, "misses": self.misses,
-                    "disk_hits": self.disk_hits,
-                    "computes": self.computes}
-
-    def clear(self, reset_counters: bool = False) -> None:
-        with self._lock:
-            self._data.clear()
-            if reset_counters:
-                self.hits = self.misses = 0
-                self.disk_hits = self.computes = 0
-
-
-_CACHE = _TimingCache(DEFAULT_MAX_CACHED_REPORTS)
-
-
-def cache_info() -> Dict[str, int]:
-    """Occupancy and hit/miss/compute counters of the timing LRU."""
-    return _CACHE.info()
-
-
-def clear_cache(reset_counters: bool = False) -> None:
-    """Drop every cached report (tests and memory-pressure escape
-    hatch)."""
-    _CACHE.clear(reset_counters)
-
-
-def _valid_payload(payload: Any, netlist: MappedNetlist) -> bool:
-    """Structural check of a disk entry against the requesting netlist."""
+def _decode(payload: Any, netlist: MappedNetlist) -> Optional[TimingReport]:
+    """A disk entry as a report, if it fits the requesting netlist."""
     if not isinstance(payload, dict):
-        return False
+        return None
     arrivals = payload.get("arrivals")
     if not isinstance(arrivals, dict):
-        return False
+        return None
     if payload.get("gate_count") != netlist.gate_count:
-        return False
+        return None
     for net in netlist.all_nets():
         if net not in arrivals:
-            return False
+            return None
     po_arrivals = payload.get("po_arrivals")
     if not isinstance(po_arrivals, dict):
-        return False
-    return all(name in po_arrivals for name, _ in netlist.po_bindings)
+        return None
+    if not all(name in po_arrivals for name, _ in netlist.po_bindings):
+        return None
+    return TimingReport.from_payload(payload)
+
+
+#: The process-wide timing-report ladder (LRU, disk, single-flight).
+#: Its counters are ``timing.*``.
+LADDER = Ladder(TIMING_NAMESPACE, TimingReport.to_payload, _decode,
+                maxsize=DEFAULT_MAX_CACHED_REPORTS)
 
 
 def timing_report(netlist: MappedNetlist) -> TimingReport:
     """The (cached) timing report of a mapped netlist.
 
-    Memoized on the netlist instance, then the per-process LRU, then
-    the :mod:`repro.cache` disk store — the same ladder activity
-    statistics climb — and only then propagated.  The key is a content
-    hash (:func:`netlist_timing_key`), so it never needs invalidating:
-    a re-characterized library or a remapped circuit produces a fresh
-    key.  The returned object is shared — treat it as immutable.
+    Memoized on the netlist instance, then :data:`LADDER` — the
+    per-process LRU, the :mod:`repro.cache` disk store and a
+    single-flight propagation, the same ladder activity statistics
+    climb.  The key is a content hash (:func:`netlist_timing_key`), so
+    it never needs invalidating: a re-characterized library or a
+    remapped circuit produces a fresh key.  The returned object is
+    shared — treat it as immutable.
     """
-    cached = netlist.__dict__.get(_REPORT_ATTR)
-    if cached is not None:
-        return cached
-    key = netlist_timing_key(netlist)
-    report = _CACHE.get(key)
-    if report is not None:
+    report = netlist.__dict__.get(_REPORT_ATTR)
+    if report is None:
+        report = LADDER.get(netlist_timing_key(netlist), netlist,
+                            lambda: analyze_timing(netlist))
         netlist.__dict__[_REPORT_ATTR] = report
-        return report
-    disk = default_cache()
-    payload = disk.get(TIMING_NAMESPACE, key)
-    if _valid_payload(payload, netlist):
-        try:
-            report = TimingReport.from_payload(payload)
-        except (TypeError, ValueError, KeyError):
-            report = None
-        if report is not None:
-            with _CACHE._lock:
-                _CACHE.disk_hits += 1
-            _CACHE.put(key, report)
-            netlist.__dict__[_REPORT_ATTR] = report
-            return report
-    report = analyze_timing(netlist)
-    with _CACHE._lock:
-        _CACHE.computes += 1
-    disk.put(TIMING_NAMESPACE, key, report.to_payload())
-    _CACHE.put(key, report)
-    netlist.__dict__[_REPORT_ATTR] = report
     return report

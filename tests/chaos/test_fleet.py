@@ -199,6 +199,14 @@ class TestCrossProcessSingleFlight:
         return ports()
 
     def test_concurrent_cold_queries_simulate_once(self, fleet_env):
+        from repro import registry
+        from repro.experiments.flow import MAPPED_NETLISTS
+
+        # Workers fork from this process: empty its library and
+        # netlist memos so no worker inherits a warm timing report or
+        # leakage table, and all three ladders start cold.
+        registry.clear_library_cache()
+        MAPPED_NETLISTS.clear()
         fleet = _start_fleet(3)
         try:
             _wait(lambda: fleet.n_ready() == 3, 60,
@@ -229,14 +237,17 @@ class TestCrossProcessSingleFlight:
 
             aggregate = fleet.stats()["aggregate"]
             # The acceptance meter: summed across every worker, the
-            # one key cost exactly one simulation.
+            # one key cost exactly one simulation — and one timing
+            # propagation.
             assert aggregate["counters"]["stats.cold"] == 1
+            assert aggregate["caches"]["timing"]["computes"] == 1
             disk = aggregate["caches"]["disk"]
-            assert disk["flight_leader"] == 1
-            # The two non-leaders either waited on the leader's lock
-            # (followers) or arrived after it published and took a
-            # plain disk hit — scheduling jitter decides which.
-            assert disk["flight_follower"] <= 2
+            # One leader per cold ladder: activity, timing, leakage.
+            assert disk["flight_leader"] == 3
+            # The two non-leaders of each ladder either waited on the
+            # leader's lock (followers) or arrived after it published
+            # and took a plain disk hit — scheduling jitter decides.
+            assert disk["flight_follower"] <= 2 * 3
             assert disk["flight_timeout"] == 0
         finally:
             fleet.shutdown()

@@ -52,3 +52,45 @@ def mlib():
 def tiny_config():
     """A pattern budget small enough for unit tests."""
     return ExperimentConfig(n_patterns=2048, state_patterns=2048)
+
+
+@pytest.fixture
+def cold_race(tmp_path, monkeypatch):
+    """Run a call in two forked processes released together on one
+    fresh, enabled disk cache; returns each process's counter diff
+    (:func:`repro.obs.diff`).
+
+    The call should hold its computation long enough (a sleep in the
+    compute) that the second process arrives while the first still
+    holds the key's single-flight lock.
+    """
+    import multiprocessing
+
+    from repro import obs
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "race-cache"))
+    monkeypatch.setenv(ENV_CACHE_DISABLE, "0")
+
+    def race(call):
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2)
+        results = context.Queue()
+
+        def contender():
+            before = obs.snapshot()
+            barrier.wait(timeout=30)
+            try:
+                call()
+            finally:
+                results.put(obs.diff(before))
+
+        processes = [context.Process(target=contender) for _ in range(2)]
+        for process in processes:
+            process.start()
+        diffs = [results.get(timeout=120) for _ in processes]
+        for process in processes:
+            process.join(timeout=30)
+            assert process.exitcode == 0
+        return diffs
+
+    return race

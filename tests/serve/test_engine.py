@@ -6,11 +6,13 @@ import time
 
 import pytest
 
-from repro import registry
+from repro import obs, registry
 from repro.api import Session
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.flow import MAPPED_NETLISTS
 from repro.serve import Engine
+from repro.sim import activity
 
 
 @pytest.fixture
@@ -19,6 +21,13 @@ def engine(tiny_config):
 
 
 class TestEngineCaching:
+    @pytest.fixture(autouse=True)
+    def cold_process(self):
+        """A fresh engine's first query misses the library and netlist
+        caches only if the process-wide memos are empty: empty them."""
+        registry.clear_library_cache()
+        MAPPED_NETLISTS.clear()
+
     def test_cold_then_hot(self, engine, tiny_config):
         first = engine.estimate_request("t481", "cmos")
         second = engine.estimate_request("t481", "cmos")
@@ -64,12 +73,11 @@ class TestEngineCaching:
         """The regression lock for the activity split: a second query
         that changes only pricing knobs (frequency here) must be served
         from the stats cache — not one bit-parallel pattern simulated."""
-        from repro.sim import activity
-
-        activity.clear_cache(reset_counters=True)
+        activity.LADDER.lru.clear()
+        before = obs.snapshot()
         engine = Engine(Session(tiny_config))
         engine.estimate_request("t481", "cmos")
-        simulated = activity.cache_info()["simulations"]
+        simulated = obs.diff(before)["activity.computes"]
         assert simulated >= 1
         requery = engine.estimate_request(
             "t481", "cmos",
@@ -77,7 +85,7 @@ class TestEngineCaching:
                              n_patterns=tiny_config.n_patterns,
                              state_patterns=tiny_config.state_patterns))
         assert requery.cache_status == "cold"  # new result key...
-        assert activity.cache_info()["simulations"] == simulated  # ...no sim
+        assert obs.diff(before)["activity.computes"] == simulated  # no sim
         counters = engine.stats()["counters"]
         assert counters["stats.hot"] >= 1
         assert counters["stats.cold"] >= 1
@@ -148,9 +156,9 @@ class TestEngineBatch:
         """The server-side grouping guarantee: an operating-point grid
         over one circuit costs one bit-parallel simulation."""
         from repro.schema import PowerQuery
-        from repro.sim import activity
 
-        activity.clear_cache(reset_counters=True)
+        activity.LADDER.lru.clear()
+        before = obs.snapshot()
         engine = Engine(Session(tiny_config))
         queries = [PowerQuery(circuit="t481", library="generalized",
                               config=ExperimentConfig(
@@ -161,16 +169,16 @@ class TestEngineBatch:
                    for f in (0.5e9, 1.0e9, 2.0e9) for fo in (1, 3)]
         reports = engine.estimate_batch(queries)
         assert len(reports) == 6
-        assert activity.cache_info()["simulations"] == 1
+        assert obs.diff(before)["activity.computes"] == 1
         assert engine.stats()["counters"]["stats.cold"] == 1
 
     def test_batch_interleaved_groups_still_group(self, tiny_config):
         """Queries arriving interleaved across circuits are re-ordered
         by activity group server-side (answers stay in input order)."""
         from repro.schema import PowerQuery
-        from repro.sim import activity
 
-        activity.clear_cache(reset_counters=True)
+        activity.LADDER.lru.clear()
+        before = obs.snapshot()
         engine = Engine(Session(tiny_config))
         frequencies = (0.5e9, 1.0e9)
         queries = [PowerQuery(circuit=circuit, library="cmos",
@@ -184,7 +192,7 @@ class TestEngineBatch:
         reports = engine.estimate_batch(queries)
         assert [r.circuit for r in reports] == ["t481", "C1908",
                                                "t481", "C1908"]
-        assert activity.cache_info()["simulations"] == 2
+        assert obs.diff(before)["activity.computes"] == 2
 
 
 class TestEngineCoalescing:

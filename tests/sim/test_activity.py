@@ -4,6 +4,7 @@ persistence and the payload round trip."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.circuits.adders import ripple_adder_circuit
 from repro.experiments.config import ExperimentConfig
 from repro.sim import activity
@@ -12,11 +13,13 @@ from repro.synth.mapper import map_aig
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    """Each test sees an empty stats LRU with zeroed counters."""
-    activity.clear_cache(reset_counters=True)
-    yield
-    activity.clear_cache(reset_counters=True)
+def counts():
+    """Each test sees an empty stats LRU; calling the fixture reports
+    the ``activity.*`` counters gained since the test started."""
+    activity.LADDER.lru.clear()
+    before = obs.snapshot()
+    yield lambda: obs.section(obs.diff(before), "activity")
+    activity.LADDER.lru.clear()
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +75,15 @@ class TestNetlistActivityKey:
 
 
 class TestSimulationStatsCache:
-    def test_second_call_is_a_hit(self, adder):
+    def test_second_call_is_a_hit(self, adder, counts):
         first = activity.simulation_stats(adder, 2048, seed=3)
-        info = activity.cache_info()
-        assert info["simulations"] == 1
+        info = counts()
+        assert info["computes"] == 1
         second = activity.simulation_stats(adder, 2048, seed=3)
         assert second is first
-        info = activity.cache_info()
+        info = counts()
         assert info["hits"] == 1
-        assert info["simulations"] == 1
+        assert info["computes"] == 1
 
     def test_cached_equals_direct_simulation(self, adder):
         cached = activity.simulation_stats(adder, 2048, seed=3)
@@ -90,38 +93,39 @@ class TestSimulationStatsCache:
         for name, counts in direct.state_counts.items():
             assert np.array_equal(cached.state_counts[name], counts)
 
-    def test_different_seed_simulates_again(self, adder):
+    def test_different_seed_simulates_again(self, adder, counts):
         activity.simulation_stats(adder, 2048, seed=3)
         activity.simulation_stats(adder, 2048, seed=4)
-        assert activity.cache_info()["simulations"] == 2
+        assert counts()["computes"] == 2
 
-    def test_clear_cache_forgets(self, adder):
+    def test_clear_cache_forgets(self, adder, counts):
         activity.simulation_stats(adder, 2048, seed=3)
-        activity.clear_cache()
+        activity.LADDER.lru.clear()
         activity.simulation_stats(adder, 2048, seed=3)
-        assert activity.cache_info()["simulations"] == 2
+        assert counts()["computes"] == 2
 
 
 class TestDiskPersistence:
-    def test_round_trip_bit_identical(self, adder, tmp_path, monkeypatch):
+    def test_round_trip_bit_identical(self, adder, tmp_path, monkeypatch,
+                                      counts):
         from repro.cache import ENV_CACHE_DIR, ENV_CACHE_DISABLE
 
         monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
         monkeypatch.setenv(ENV_CACHE_DISABLE, "0")
         first = activity.simulation_stats(adder, 2048, seed=5)
-        assert activity.cache_info()["simulations"] == 1
+        assert counts()["computes"] == 1
         # A "new process": empty LRU, warm disk.
-        activity.clear_cache()
+        activity.LADDER.lru.clear()
         second = activity.simulation_stats(adder, 2048, seed=5)
-        info = activity.cache_info()
-        assert info["simulations"] == 1
+        info = counts()
+        assert info["computes"] == 1
         assert info["disk_hits"] == 1
         assert second.toggles == first.toggles
-        for name, counts in first.state_counts.items():
-            assert np.array_equal(second.state_counts[name], counts)
+        for name, states in first.state_counts.items():
+            assert np.array_equal(second.state_counts[name], states)
 
     def test_corrupt_entry_degrades_to_recompute(self, adder, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, counts):
         from repro.cache import ENV_CACHE_DIR, ENV_CACHE_DISABLE, DiskCache
 
         monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
@@ -130,7 +134,7 @@ class TestDiskPersistence:
         DiskCache().put(activity.ACTIVITY_NAMESPACE, key,
                         {"n_patterns": 2048, "garbage": True})
         stats = activity.simulation_stats(adder, 2048, seed=5)
-        assert activity.cache_info()["simulations"] == 1
+        assert counts()["computes"] == 1
         assert stats.n_patterns == 2048
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.circuits.families import random_mapped_netlist
 from repro.errors import ExperimentError, SimulationError
 from repro.experiments.config import SIM_KERNELS, ExperimentConfig
@@ -22,8 +23,6 @@ from repro.sim.arraysim import ArraySimulator, LevelizedNetlist, levelized
 from repro.sim.bitsim import BitParallelSimulator
 from repro.sim.kernels import (
     AUTO_ARRAY_THRESHOLD,
-    kernel_counters,
-    reset_kernel_counters,
     run_simulation,
     select_kernel,
 )
@@ -167,23 +166,20 @@ class TestKernelSelection:
 
     def test_run_simulation_meters_each_kernel(self, mlib):
         netlist = random_mapped_netlist(mlib, gates=40, seed=3)
-        reset_kernel_counters()
-        try:
-            gate_stats = run_simulation(netlist, 64, kernel="gate")
-            array_stats = run_simulation(netlist, 64, kernel="array")
-            auto_stats = run_simulation(netlist, 64, kernel="auto")
-            assert_bit_identical(gate_stats, array_stats)
-            assert_bit_identical(gate_stats, auto_stats)
-            counters = kernel_counters()
-            # auto resolves to the gate kernel below the threshold
-            assert counters["gate"]["simulations"] == 2
-            assert counters["array"]["simulations"] == 1
-            evals = netlist.gate_count * 64
-            assert counters["gate"]["gate_evals"] == 2 * evals
-            assert counters["array"]["gate_evals"] == evals
-            assert counters["array"]["gate_evals_per_s"] > 0.0
-        finally:
-            reset_kernel_counters()
+        before = obs.snapshot()
+        gate_stats = run_simulation(netlist, 64, kernel="gate")
+        array_stats = run_simulation(netlist, 64, kernel="array")
+        auto_stats = run_simulation(netlist, 64, kernel="auto")
+        assert_bit_identical(gate_stats, array_stats)
+        assert_bit_identical(gate_stats, auto_stats)
+        counters = obs.diff(before)
+        # auto resolves to the gate kernel below the threshold
+        assert counters["sim.kernel.gate.simulations"] == 2
+        assert counters["sim.kernel.array.simulations"] == 1
+        evals = netlist.gate_count * 64
+        assert counters["sim.kernel.gate.gate_evals"] == 2 * evals
+        assert counters["sim.kernel.array.gate_evals"] == evals
+        assert counters["sim.kernel.array.elapsed_s"] > 0.0
 
     def test_config_validates_kernel(self):
         for kernel in SIM_KERNELS:

@@ -1,7 +1,6 @@
 """The vectorized pricing layer: bit-identity with the scalar path,
 ``estimate_many`` broadcasting, and the Eq. 2-5 scaling properties."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

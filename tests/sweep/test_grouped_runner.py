@@ -58,7 +58,7 @@ class TestGrouping:
 
 class TestGroupedExecution:
     def test_one_simulation_per_group(self, tmp_path):
-        activity.clear_cache()
+        activity.LADDER.lru.clear()
         spec = _smoke_spec()
         report = Session().sweep(spec, tmp_path / "smoke.jsonl")
         assert report.executed == 20
@@ -97,6 +97,31 @@ class TestGroupedExecution:
             stored = report.store.get(task.task_key)
             per_point = run_sweep_task(task)
             assert stored["result"] == per_point["result"]
+
+
+class TestReregistration:
+    def test_reregistered_circuit_is_not_served_a_stale_netlist(self):
+        """A name registered again means another circuit: a later sweep
+        must map the new definition, not reuse the old one's netlist."""
+        from repro import registry
+        from repro.sweep.store import MemoryResultStore
+
+        registry.register_circuit("x", registry.circuit_entry("t481").build)
+        try:
+            spec = _smoke_spec(circuits=("x",), libraries=("cmos",),
+                               frequency=(1.0e9,))
+            config = spec.expand()[0].config
+            Session().sweep(spec)
+            registry.register_circuit(
+                "x", registry.circuit_entry("C1355").build, replace=True)
+            report = Session().sweep(spec, MemoryResultStore())
+            direct = Session(config).run("x", "cmos")
+        finally:
+            registry.unregister_circuit("x", missing_ok=True)
+        (record,) = report.store.records()
+        assert flow_result(record) == direct
+        assert direct.gate_count != Session(config).run("t481",
+                                                        "cmos").gate_count
 
 
 class TestFullPaperGridIdentity:

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.synth.aig import Aig, TRUE, lit_not
 from repro.synth.mapper import MappingOptions, build_match_table, map_aig
-from repro.synth.netlist import static_timing
 from repro.synth.truth import flip_variable, permute
+from repro.timing import arrival_times
 
 
 def netlist_evaluate(netlist, values):
@@ -141,7 +141,7 @@ class TestTiming:
     def test_sta_positive_and_load_sensitive(self, glib):
         from repro.circuits.adders import ripple_adder_circuit
         netlist = map_aig(ripple_adder_circuit(4), glib)
-        delay, arrivals = static_timing(netlist)
+        delay, arrivals = arrival_times(netlist)
         assert delay > 0
         assert all(v >= 0 for v in arrivals.values())
         # POs see the critical path
@@ -151,6 +151,6 @@ class TestTiming:
     def test_cmos_slower_than_cntfet(self, mlib, clib):
         from repro.circuits.adders import ripple_adder_circuit
         aig = ripple_adder_circuit(4)
-        cmos_delay, _ = static_timing(map_aig(aig, mlib))
-        cnt_delay, _ = static_timing(map_aig(aig, clib))
+        cmos_delay, _ = arrival_times(map_aig(aig, mlib))
+        cnt_delay, _ = arrival_times(map_aig(aig, clib))
         assert cmos_delay > 3 * cnt_delay

@@ -5,7 +5,8 @@ import pytest
 from repro.circuits.adders import ripple_adder_circuit
 from repro.errors import SimulationError
 from repro.synth.mapper import map_aig
-from repro.synth.netlist import MappedGate, MappedNetlist, static_timing
+from repro.synth.netlist import MappedGate, MappedNetlist
+from repro.timing import arrival_times
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +83,13 @@ class TestValidation:
 
 class TestTimingDetails:
     def test_arrival_monotone_along_paths(self, netlist):
-        _, arrivals = static_timing(netlist)
+        _, arrivals = arrival_times(netlist)
         for gate in netlist.gates:
             gate_arrival = arrivals[gate.output]
             for net in gate.inputs:
                 assert gate_arrival > arrivals[net]
 
     def test_po_load_affects_delay(self, netlist):
-        small, _ = static_timing(netlist, po_extra_load=0.0)
-        large, _ = static_timing(netlist, po_extra_load=1e-14)
+        small, _ = arrival_times(netlist, po_extra_load=0.0)
+        large, _ = arrival_times(netlist, po_extra_load=1e-14)
         assert large > small

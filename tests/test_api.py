@@ -132,11 +132,11 @@ class TestSessionTable1:
         path entirely."""
         from dataclasses import replace
 
-        from repro.sim.activity import clear_cache
-        from repro.sim.kernels import kernel_counters
+        from repro import obs
+        from repro.sim import activity
 
-        clear_cache()
-        before = kernel_counters()["array"]["simulations"]
+        activity.LADDER.lru.clear()
+        before = obs.snapshot()
         config = replace(golden_config, sim_kernel="array")
         result = Session(config).table1(benchmarks=["t481", "C1355"])
         got = [
@@ -149,8 +149,8 @@ class TestSessionTable1:
         assert got == PRE_REDESIGN_GOLDEN
         # the array kernel really ran (six cells; topologically
         # identical mappings may share one activity entry)
-        assert kernel_counters()["array"]["simulations"] >= before + 5
-        clear_cache()
+        assert obs.diff(before)["sim.kernel.array.simulations"] >= 5
+        activity.LADDER.lru.clear()
 
     def test_wrapper_delegates(self, golden_config):
         """reproduce_table1 is the Session, bit for bit."""

@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 
+from repro import obs
 from repro.cache import DiskCache, stable_hash
 from repro.devices.parameters import cmos_32nm, cntfet_32nm
 from repro.power.pattern_sim import PatternSimulator
@@ -157,15 +159,52 @@ class TestLeakageTablesPersistence:
         first = _LeakageTables.for_library(mlib)
         assert _LeakageTables.for_library(mlib) is first
 
+    def test_two_cold_processes_characterize_once(self, cold_race,
+                                                  monkeypatch):
+        """Cross-process single-flight: two processes cold on one
+        library build its tables once; the other waits for the
+        leader's entry."""
+        import time
+
+        from repro.registry import build_library
+
+        expected = _LeakageTables(build_library("cmos", 0.9))
+        original = _LeakageTables.__init__
+
+        def slow_init(self, library, stored=None):
+            if stored is None:
+                time.sleep(0.5)  # hold the lock while the rival arrives
+            original(self, library, stored)
+
+        monkeypatch.setattr(_LeakageTables, "__init__", slow_init)
+
+        def cold_tables():
+            tables = _LeakageTables.for_library(build_library("cmos", 0.9))
+            for name in expected.i_off:
+                np.testing.assert_array_equal(tables.i_off[name],
+                                              expected.i_off[name])
+                np.testing.assert_array_equal(tables.i_gate[name],
+                                              expected.i_gate[name])
+
+        diffs = cold_race(cold_tables)
+        assert sum(d["leakage.computes"] for d in diffs) == 1
+        assert sum(d["disk.flight_leader"] for d in diffs) == 1
+        assert sum(d["disk.flight_follower"] for d in diffs) == 1
+
 
 class TestCacheIntegrity:
     """Checksummed envelopes, quarantine, and the corrupt-read fault."""
 
-    def _cache(self, tmp_path):
-        from repro.cache import reset_cache_stats
+    @pytest.fixture(autouse=True)
+    def _baseline(self):
+        self.before = obs.snapshot()
 
-        reset_cache_stats()
+    def _cache(self, tmp_path):
         return DiskCache(root=tmp_path, enabled=True)
+
+    def _disk(self):
+        """The disk tier's counters gained since the test started."""
+        return obs.section(obs.diff(self.before), "disk")
 
     def test_entries_are_checksummed_envelopes(self, tmp_path):
         import json
@@ -181,7 +220,7 @@ class TestCacheIntegrity:
         """A write killed mid-file must read as a miss, move the debris
         aside, and never poison a future read (the satellite
         regression test)."""
-        from repro.cache import QUARANTINE_DIRNAME, cache_stats
+        from repro.cache import QUARANTINE_DIRNAME
 
         cache = self._cache(tmp_path)
         cache.put("ns", "key", {"big": list(range(100))})
@@ -192,7 +231,7 @@ class TestCacheIntegrity:
         assert not path.exists()  # moved aside, not re-read forever
         quarantined = list((tmp_path / QUARANTINE_DIRNAME / "ns").iterdir())
         assert len(quarantined) == 1
-        stats = cache_stats()
+        stats = self._disk()
         assert stats["quarantined"] == 1
         assert stats["unparseable"] == 1
         # The miss is clean: a recompute can re-put and read back.
@@ -202,8 +241,6 @@ class TestCacheIntegrity:
     def test_checksum_mismatch_is_quarantined(self, tmp_path):
         import json
 
-        from repro.cache import cache_stats
-
         cache = self._cache(tmp_path)
         cache.put("ns", "key", {"x": 1})
         path = tmp_path / "ns" / "key.json"
@@ -211,33 +248,39 @@ class TestCacheIntegrity:
         payload["value"] = {"x": 2}  # bit-flipped value, stale checksum
         path.write_text(json.dumps(payload))
         assert cache.get("ns", "key") is None
-        assert cache_stats()["checksum_mismatch"] == 1
+        assert self._disk()["checksum_mismatch"] == 1
 
-    def test_legacy_entry_still_readable(self, tmp_path):
+    def test_legacy_entry_is_quarantined(self, tmp_path):
+        """An entry without the checksummed envelope cannot be
+        verified: a clean miss, moved aside like any corrupt entry."""
         import json
 
-        from repro.cache import cache_stats
+        from repro.cache import QUARANTINE_DIRNAME
 
         cache = self._cache(tmp_path)
         path = tmp_path / "ns" / "key.json"
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"old": "format"}))  # pre-envelope
-        assert cache.get("ns", "key") == {"old": "format"}
-        assert cache_stats()["legacy"] == 1
-        assert cache_stats()["quarantined"] == 0
+        assert cache.get("ns", "key") is None
+        assert not path.exists()
+        assert len(list((tmp_path / QUARANTINE_DIRNAME / "ns").iterdir())) \
+            == 1
+        stats = self._disk()
+        assert stats["quarantined"] == 1
+        assert stats["unparseable"] == 1
+        assert stats["verified"] == 0
+        cache.put("ns", "key", {"new": "format"})
+        assert cache.get("ns", "key") == {"new": "format"}
 
     def test_verified_reads_are_counted(self, tmp_path):
-        from repro.cache import cache_stats
-
         cache = self._cache(tmp_path)
         cache.put("ns", "key", [1, 2])
         cache.get("ns", "key")
         cache.get("ns", "key")
-        assert cache_stats()["verified"] == 2
+        assert self._disk()["verified"] == 2
 
     def test_corrupt_read_fault_triggers_quarantine(self, tmp_path):
         from repro import faults
-        from repro.cache import cache_stats
 
         cache = self._cache(tmp_path)
         cache.put("ns", "key", {"x": 1})
@@ -246,12 +289,81 @@ class TestCacheIntegrity:
         try:
             assert cache.get("ns", "key") is None  # garbled once
             assert cache.get("ns", "other") == {"y": 2}  # no match
-            assert cache_stats()["quarantined"] == 1
+            assert self._disk()["quarantined"] == 1
             # The budget is spent: a recompute survives.
             cache.put("ns", "key", {"x": 1})
             assert cache.get("ns", "key") == {"x": 1}
         finally:
             faults.deactivate()
+
+
+class TestLadder:
+    """LRU -> checksummed disk -> single-flight compute, one namespace."""
+
+    def _ladder(self, maxsize=4):
+        from repro.cache import Ladder
+
+        def decode(payload, subject):
+            value = payload["value"]
+            return value if value == subject else None
+
+        return Ladder("test-ladder", lambda value: {"value": value},
+                      decode, maxsize=maxsize)
+
+    def _get(self, ladder, disk, value=7):
+        computed = []
+
+        def compute():
+            computed.append(True)
+            return value
+
+        assert ladder.get("key", value, compute, disk) == value
+        return bool(computed)
+
+    def _counts(self, before):
+        return obs.section(obs.diff(before), "test-ladder",
+                           ("hits", "misses", "disk_hits", "computes"))
+
+    def test_tiers_in_order(self, tmp_path):
+        disk = DiskCache(root=tmp_path, enabled=True)
+        ladder = self._ladder()
+        before = obs.snapshot()
+        assert self._get(ladder, disk)           # cold: computes
+        assert disk.get("test-ladder", "key") == {"value": 7}
+        assert not self._get(ladder, disk)       # LRU hit
+        ladder.lru.clear()
+        assert not self._get(ladder, disk)       # disk hit
+        assert self._counts(before) == {"hits": 1, "misses": 2,
+                                        "disk_hits": 1, "computes": 1}
+
+    def test_entry_that_does_not_fit_is_recomputed(self, tmp_path):
+        disk = DiskCache(root=tmp_path, enabled=True)
+        disk.put("test-ladder", "key", {"value": 8})    # fits another
+        disk.put("test-ladder", "other", {"junk": 1})   # decode raises
+        ladder = self._ladder()
+        assert self._get(ladder, disk, value=7)
+        assert disk.get("test-ladder", "key") == {"value": 7}
+        computed = []
+        assert ladder.get("other", 1, lambda: computed.append(1) or 1,
+                          disk) == 1
+        assert computed == [1]
+
+    def test_zero_size_lru_sends_every_lookup_to_disk(self, tmp_path):
+        disk = DiskCache(root=tmp_path, enabled=True)
+        ladder = self._ladder(maxsize=0)
+        before = obs.snapshot()
+        assert self._get(ladder, disk)
+        assert not self._get(ladder, disk)
+        assert not self._get(ladder, disk)
+        assert self._counts(before) == {"hits": 0, "misses": 3,
+                                        "disk_hits": 2, "computes": 1}
+
+    def test_disabled_disk_computes_behind_the_lru(self, tmp_path):
+        disk = DiskCache(root=tmp_path, enabled=False)
+        ladder = self._ladder()
+        assert self._get(ladder, disk)
+        assert not self._get(ladder, disk)
+        assert not (tmp_path / "_locks").exists()
 
 
 class TestSingleFlight:
@@ -261,7 +373,7 @@ class TestSingleFlight:
         return DiskCache(root=tmp_path, enabled=True)
 
     def test_leader_computes_once_and_unlocks(self, tmp_path):
-        from repro.cache import cache_stats, single_flight
+        from repro.cache import single_flight
 
         cache = self._cache(tmp_path)
         computed = []
@@ -274,11 +386,11 @@ class TestSingleFlight:
         def probe():
             return cache.get("ns", "key")
 
-        before = cache_stats()["flight_leader"]
+        before = obs.snapshot()
         assert single_flight(cache, "ns", "key", compute, probe) \
             == {"v": 42}
         assert computed == [True]
-        assert cache_stats()["flight_leader"] == before + 1
+        assert obs.diff(before)["disk.flight_leader"] == 1
         # The lock is gone: a second call probes the entry instead of
         # recomputing.
         assert not cache.lock_path("ns", "key").exists()
@@ -290,7 +402,7 @@ class TestSingleFlight:
         import threading
         import time
 
-        from repro.cache import cache_stats, single_flight
+        from repro.cache import single_flight
 
         cache = self._cache(tmp_path)
         # Simulate a live leader: hold the lock from this very
@@ -305,7 +417,7 @@ class TestSingleFlight:
 
         thread = threading.Thread(target=leader)
         thread.start()
-        before = cache_stats()["flight_follower"]
+        before = obs.snapshot()
 
         def compute():
             raise AssertionError("the follower must never compute")
@@ -315,13 +427,13 @@ class TestSingleFlight:
                               poll_s=0.01)
         thread.join()
         assert value == {"v": 7}
-        assert cache_stats()["flight_follower"] == before + 1
+        assert obs.diff(before)["disk.flight_follower"] == 1
 
     def test_stale_lock_of_dead_process_is_taken_over(self, tmp_path):
         import json
         import multiprocessing
 
-        from repro.cache import cache_stats, single_flight
+        from repro.cache import single_flight
 
         cache = self._cache(tmp_path)
         # A real dead pid: fork a child that exits immediately.
@@ -343,13 +455,13 @@ class TestSingleFlight:
             cache.put("ns", "key", {"v": 1})
             return {"v": 1}
 
-        before = cache_stats()["flight_takeover"]
+        before = obs.snapshot()
         value = single_flight(cache, "ns", "key", compute,
                               lambda: cache.get("ns", "key"),
                               poll_s=0.01)
         assert value == {"v": 1}
         assert computed == [True]
-        assert cache_stats()["flight_takeover"] == before + 1
+        assert obs.diff(before)["disk.flight_takeover"] == 1
 
     def test_live_lock_is_not_stale_by_age(self, tmp_path):
         cache = self._cache(tmp_path)
@@ -359,18 +471,18 @@ class TestSingleFlight:
         cache.unlock("ns", "key")
 
     def test_wait_timeout_computes_redundantly(self, tmp_path):
-        from repro.cache import cache_stats, single_flight
+        from repro.cache import single_flight
 
         cache = self._cache(tmp_path)
         assert cache.try_lock("ns", "key")  # held, live, never freed
 
-        before = cache_stats()["flight_timeout"]
+        before = obs.snapshot()
         value = single_flight(cache, "ns", "key",
                               lambda: {"v": "redundant"},
                               lambda: cache.get("ns", "key"),
                               poll_s=0.005, max_wait_s=0.05)
         assert value == {"v": "redundant"}
-        assert cache_stats()["flight_timeout"] == before + 1
+        assert obs.diff(before)["disk.flight_timeout"] == 1
         cache.unlock("ns", "key")
 
     def test_disabled_cache_computes_directly(self, tmp_path):

@@ -4,14 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro import foundry, registry
-from repro.cache import DiskCache, cache_stats, reset_cache_stats
+from repro import foundry, obs, registry
+from repro.cache import DiskCache
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.power.pattern_sim import (
-    reset_spice_solve_count,
-    spice_solve_count,
-)
 
 VDDS = (0.8, 0.9)
 
@@ -23,10 +19,14 @@ def store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
     monkeypatch.setenv("REPRO_CACHE_DISABLE", "0")
     registry.clear_library_cache()
-    foundry.reset_foundry_counters()
     yield DiskCache(root=root, enabled=True)
     registry.clear_library_cache()
-    foundry.reset_foundry_counters()
+
+
+def _foundry_since(before):
+    """The foundry's artifact counters gained since ``before``."""
+    return obs.section(obs.diff(before), "foundry",
+                       foundry.FOUNDRY_COUNTERS)
 
 
 def _artifact_path(store, name, vdd):
@@ -61,7 +61,7 @@ class TestArtifact:
         artifact = foundry.build_artifact("cntfet-conventional", 0.9,
                                           cache=store)
         foundry.save_artifact(artifact, store)
-        before = spice_solve_count()
+        before = obs.snapshot()
         library = foundry.load_library("conventional", 0.9, store)
         assert library is not None
         # Exercise everything an estimate needs: timing, pin and
@@ -72,10 +72,10 @@ class TestArtifact:
             library.pin_capacitances(cell.name)
             library.output_capacitance(cell.name)
         assert library in _LeakageTables._cache
-        assert spice_solve_count() == before
-        counters = foundry.foundry_counters()
-        assert counters["artifact.hits"] == 1
-        assert counters["artifact.misses"] == 0
+        assert obs.diff(before)["spice.solves"] == 0
+        counters = _foundry_since(before)
+        assert counters["artifact_hits"] == 1
+        assert counters["artifact_misses"] == 0
 
     def test_hydrated_values_match_live(self, store):
         artifact = foundry.build_artifact("cmos", 0.8, cache=store)
@@ -107,40 +107,40 @@ class TestRoundTripBitIdentity:
         assert report.counts()["failed"] == 0
 
         registry.clear_library_cache()
-        activity.clear_cache()
-        foundry.reset_foundry_counters()
-        reset_spice_solve_count()
+        activity.LADDER.lru.clear()
+        before = obs.snapshot()
         for vdd in VDDS:
             session = Session(_config(vdd))
             for name in benchmarks:
                 hydrated = session.run(name, "cmos")
                 assert hydrated == live[(name, vdd)], (name, vdd)
-        assert spice_solve_count() == 0
-        counters = foundry.foundry_counters()
-        assert counters["artifact.hits"] == len(VDDS)
-        assert counters["artifact.misses"] == 0
+        assert obs.diff(before)["spice.solves"] == 0
+        counters = _foundry_since(before)
+        assert counters["artifact_hits"] == len(VDDS)
+        assert counters["artifact_misses"] == 0
 
 
 class TestMissPaths:
     def test_missing_artifact_is_counted_miss(self, store):
+        before = obs.snapshot()
         assert foundry.load_library("cmos", 0.9, store) is None
-        counters = foundry.foundry_counters()
-        assert counters["artifact.misses"] == 1
-        assert counters["artifact.hits"] == 0
+        counters = _foundry_since(before)
+        assert counters["artifact_misses"] == 1
+        assert counters["artifact_hits"] == 0
 
     def test_corrupt_artifact_quarantined_clean_miss(self, store):
         artifact = foundry.build_artifact("cmos", 0.9, cache=store)
         foundry.save_artifact(artifact, store)
         path = _artifact_path(store, "cmos", 0.9)
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        reset_cache_stats()
+        before = obs.snapshot()
         registry.clear_library_cache()
         library = registry.cached_library("cmos", 0.9)
         assert library is not None            # live fallback
-        assert cache_stats()["quarantined"] >= 1
-        counters = foundry.foundry_counters()
-        assert counters["artifact.misses"] >= 1
-        assert counters["artifact.hits"] == 0
+        assert obs.diff(before)["disk.quarantined"] >= 1
+        counters = _foundry_since(before)
+        assert counters["artifact_misses"] >= 1
+        assert counters["artifact_hits"] == 0
         assert not path.exists()              # moved aside, not re-read
 
     def test_stale_schema_version_rejected(self, store):
@@ -149,10 +149,11 @@ class TestMissPaths:
         stored = store.get(foundry.FOUNDRY_NAMESPACE, key)
         stored["schema_version"] = foundry.FOUNDRY_SCHEMA_VERSION + 1
         store.put(foundry.FOUNDRY_NAMESPACE, key, stored)
+        before = obs.snapshot()
         assert foundry.load_library("cmos", 0.9, store) is None
-        counters = foundry.foundry_counters()
-        assert counters["artifact.stale_schema"] == 1
-        assert counters["artifact.misses"] == 1
+        counters = _foundry_since(before)
+        assert counters["artifact_stale_schema"] == 1
+        assert counters["artifact_misses"] == 1
 
     def test_content_key_mismatch_rejected(self, store):
         artifact = foundry.build_artifact("cmos", 0.9, cache=store)
@@ -160,8 +161,9 @@ class TestMissPaths:
         stored = store.get(foundry.FOUNDRY_NAMESPACE, key)
         stored["library_key"] = "0" * 32
         store.put(foundry.FOUNDRY_NAMESPACE, key, stored)
+        before = obs.snapshot()
         assert foundry.load_library("cmos", 0.9, store) is None
-        assert foundry.foundry_counters()["artifact.mismatch"] == 1
+        assert _foundry_since(before)["artifact_mismatch"] == 1
 
     def test_truncated_leakage_tables_rejected(self, store):
         artifact = foundry.build_artifact("cmos", 0.9, cache=store)
@@ -169,8 +171,9 @@ class TestMissPaths:
         stored = store.get(foundry.FOUNDRY_NAMESPACE, key)
         del stored["leakage"]["INV"]
         store.put(foundry.FOUNDRY_NAMESPACE, key, stored)
+        before = obs.snapshot()
         assert foundry.load_library("cmos", 0.9, store) is None
-        assert foundry.foundry_counters()["artifact.invalid"] == 1
+        assert _foundry_since(before)["artifact_invalid"] == 1
 
 
 class TestCharacterize:
@@ -262,10 +265,10 @@ class TestRegistryIntegration:
     def test_cached_library_prefers_artifact(self, store):
         foundry.characterize(["cmos"], (0.9,), cache=store)
         registry.clear_library_cache()
-        reset_spice_solve_count()
+        before = obs.snapshot()
         library = registry.cached_library("cmos", 0.9)
-        assert spice_solve_count() == 0
-        assert foundry.foundry_counters()["artifact.hits"] == 1
+        assert obs.diff(before)["spice.solves"] == 0
+        assert _foundry_since(before)["artifact_hits"] == 1
         assert registry.cached_library("cmos", 0.9) is library
 
     def test_artifact_flag_opts_out(self, store):
@@ -276,11 +279,11 @@ class TestRegistryIntegration:
             description=entry.description, artifact=False,
             replace=True)
         try:
-            foundry.reset_foundry_counters()
+            before = obs.snapshot()
             registry.cached_library("cmos", 0.9)
-            counters = foundry.foundry_counters()
-            assert counters["artifact.hits"] == 0
-            assert counters["artifact.misses"] == 0
+            counters = _foundry_since(before)
+            assert counters["artifact_hits"] == 0
+            assert counters["artifact_misses"] == 0
         finally:
             registry.register_library(
                 "cmos", entry.factory, aliases=entry.aliases,
@@ -319,7 +322,7 @@ class TestEngineSurface:
 
         registry.clear_library_cache()
         from repro.sim import activity
-        activity.clear_cache()
+        activity.LADDER.lru.clear()
         engine = Engine(Session(config))
         hydrated = engine.estimate_request("t481", "cmos")
         assert hydrated.result == live.result

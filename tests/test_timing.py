@@ -1,12 +1,11 @@
 """The timing subsystem (:mod:`repro.timing`): bit-identity with the
-netlist-level reference and with the mapper's internal delay DP,
-feasibility semantics, critical-path structure and the cache ladder.
+mapper's internal delay DP, feasibility semantics, critical-path
+structure and the cache ladder.
 
-The two bit-for-bit anchors matter because three independent code
-paths now claim to compute "the" delay: the mapper's DP (estimated
-loads), :func:`repro.synth.netlist.static_timing` (real loads, used by
-Table 1 since the seed) and :func:`repro.timing.arrival_times` (both,
-selectable).  These tests lock all three together float for float.
+:func:`repro.timing.arrival_times` is the one propagation routine: with
+the mapper's load estimates it must replay the mapper's DP arrivals
+float for float (below), and with real loads it is the Table 1 delay
+column, which the paper-grid goldens lock.
 """
 
 from __future__ import annotations
@@ -14,24 +13,20 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro import obs, timing
 from repro.cache import DiskCache
-from repro.circuits.families import random_mapped_netlist
 from repro.errors import SimulationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.flow import map_subject, synthesized_benchmark
 from repro.registry import paper_benchmarks
-from repro.synth.netlist import MappedNetlist, static_timing
+from repro.synth.netlist import MappedNetlist
 from repro.timing import (
     TIMING_NAMESPACE,
     PathSegment,
     TimingReport,
     analyze_timing,
     arrival_times,
-    cache_info,
-    clear_cache,
     netlist_timing_key,
     timing_report,
 )
@@ -42,38 +37,6 @@ NO_SYNTH = ExperimentConfig(synthesize=False)
 def mapped(name, library, config=NO_SYNTH):
     return map_subject(synthesized_benchmark(name, config.synthesize),
                        library, config)
-
-
-class TestBitIdentityWithStaticTiming:
-    """arrival_times(loads=None) == static_timing, exactly."""
-
-    def test_all_paper_benchmarks(self, mlib):
-        for name in paper_benchmarks():
-            netlist = mapped(name, mlib)
-            critical, arrival = static_timing(netlist)
-            report = analyze_timing(netlist)
-            assert report.critical_delay_s == critical, name
-            assert report.arrivals == arrival, name
-
-    def test_across_libraries(self, glib, clib, mlib):
-        for library in (glib, clib, mlib):
-            netlist = mapped("C1355", library)
-            critical, arrival = static_timing(netlist)
-            got_critical, got_arrival = arrival_times(netlist)
-            assert got_critical == critical
-            assert got_arrival == arrival
-
-    @settings(max_examples=25, deadline=None)
-    @given(gates=st.integers(min_value=1, max_value=150),
-           seed=st.integers(min_value=0, max_value=2**32 - 1),
-           inputs=st.integers(min_value=2, max_value=24))
-    def test_property_random_netlists(self, mlib, gates, seed, inputs):
-        netlist = random_mapped_netlist(mlib, gates=gates, seed=seed,
-                                        inputs=inputs)
-        critical, arrival = static_timing(netlist)
-        report = analyze_timing(netlist)
-        assert report.critical_delay_s == critical
-        assert report.arrivals == arrival
 
 
 class TestMapperArrivalReplay:
@@ -163,20 +126,27 @@ class TestTimingReport:
         assert isinstance(restored.critical_path[0], PathSegment)
 
 
+def _timing_since(before):
+    """The ladder's ``timing.*`` counters gained since ``before``."""
+    return obs.section(obs.diff(before), "timing",
+                       ("hits", "misses", "disk_hits", "computes"))
+
+
 class TestTimingCache:
     def test_ladder_instance_then_lru(self, mlib):
-        clear_cache(reset_counters=True)
+        timing.LADDER.lru.clear()
+        before = obs.snapshot()
         netlist = mapped("t481", mlib)
         first = timing_report(netlist)
-        after_first = cache_info()
+        after_first = _timing_since(before)
         assert after_first["computes"] == 1
         # same instance: memoized on the netlist, no cache traffic
         assert timing_report(netlist) is first
-        assert cache_info()["hits"] == after_first["hits"]
+        assert _timing_since(before)["hits"] == after_first["hits"]
         # structurally identical fresh instance: LRU hit, no recompute
         again = timing_report(mapped("t481", mlib))
         assert again is first
-        info = cache_info()
+        info = _timing_since(before)
         assert info["computes"] == 1
         assert info["hits"] == after_first["hits"] + 1
 
@@ -195,24 +165,49 @@ class TestTimingCache:
         assert len(keys) == 2
 
     def test_disk_roundtrip(self, mlib, tmp_path, monkeypatch):
-        import repro.timing as timing_module
+        from repro.cache import ENV_CACHE_DIR, ENV_CACHE_DISABLE
 
+        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
+        monkeypatch.setenv(ENV_CACHE_DISABLE, "0")
         disk = DiskCache(tmp_path, enabled=True)
-        monkeypatch.setattr(timing_module, "default_cache", lambda: disk)
-        clear_cache(reset_counters=True)
+        timing.LADDER.lru.clear()
+        before = obs.snapshot()
         netlist = mapped("t481", mlib)
         first = timing_report(netlist)
-        assert cache_info()["computes"] == 1
+        assert _timing_since(before)["computes"] == 1
         assert disk.get(TIMING_NAMESPACE,
                         netlist_timing_key(netlist)) is not None
         # fresh process simulation: clear LRU + instance memo, keep disk
-        clear_cache()
+        timing.LADDER.lru.clear()
         fresh = mapped("t481", mlib)
         restored = timing_report(fresh)
-        info = cache_info()
+        info = _timing_since(before)
         assert info["computes"] == 1
         assert info["disk_hits"] == 1
         assert restored == first
+
+    def test_two_cold_processes_time_once(self, mlib, cold_race,
+                                          monkeypatch):
+        """Cross-process single-flight: two processes cold on one key
+        propagate once; the other waits for the leader's entry."""
+        import time
+
+        def slow_analyze(netlist, po_extra_load=None):
+            time.sleep(0.5)  # hold the lock while the rival arrives
+            return analyze_timing(netlist, po_extra_load)
+
+        monkeypatch.setattr(timing, "analyze_timing", slow_analyze)
+        timing.LADDER.lru.clear()
+        netlist = mapped("t481", mlib)
+        expected = analyze_timing(netlist)
+
+        def cold_timing_report():
+            assert timing_report(mapped("t481", mlib)) == expected
+
+        diffs = cold_race(cold_timing_report)
+        assert sum(d["timing.computes"] for d in diffs) == 1
+        assert sum(d["disk.flight_leader"] for d in diffs) == 1
+        assert sum(d["disk.flight_follower"] for d in diffs) == 1
 
 
 class TestEstimatorIntegration:
@@ -225,5 +220,4 @@ class TestEstimatorIntegration:
         model = PricingModel(netlist)
         report = timing_report(netlist)
         assert model.delay == report.critical_delay_s
-        critical, _ = static_timing(netlist)
-        assert model.delay == critical
+        assert model.delay == arrival_times(netlist)[0]
