@@ -1,11 +1,13 @@
-"""Bitsim kernel benchmark: per-gate vs levelized array throughput.
+"""Bitsim kernel benchmark: the levelized array kernel vs the per-gate
+reference.
 
 Simulates seeded random mapped netlists (the ``synth:rand`` family's
-mapped-netlist generator) at 10^4 and 10^5 gates with both kernels and
-records, per kernel:
+mapped-netlist generator) at 10^4 and 10^5 gates with the simulation
+kernel (``array``) and the per-gate reference (``gate``) and records,
+for each:
 
 * **prep_s** — simulator construction: ISOP covers for the per-gate
-  path, the full struct-of-arrays levelization for the array path.
+  reference, the full struct-of-arrays levelization for the kernel.
   Paid once per netlist (the levelized form is instance-memoized);
 * **sim_s** / **evals_per_s** — one simulation at the given pattern
   budget, and its gate-evaluations per second (gates x patterns / s);
@@ -15,8 +17,8 @@ records, per kernel:
 The headline number is the *simulation-rate* ratio at 10^5 gates and
 the 4096-pattern budget — the regime the array kernel exists for — and
 the full run asserts it stays ``>= 10`` (the redesign's acceptance
-bar).  Both kernels are bit-identical, so every row cross-checks the
-toggle counts before timing is believed.
+bar).  Kernel and reference are bit-identical, so every row
+cross-checks the toggle counts before timing is believed.
 
 Results merge into ``BENCH_perf.json`` under the ``"bitsim"`` key.
 
@@ -51,7 +53,7 @@ def _timed(func):
 
 
 def bench_netlist(gates: int, budgets, seed: int = 2010) -> dict:
-    """All kernel timings for one random netlist size."""
+    """Kernel and reference timings for one random netlist size."""
     from repro.circuits.families import random_mapped_netlist
     from repro.gates.conventional import cmos_library
     from repro.sim.arraysim import ArraySimulator, LevelizedNetlist
@@ -71,7 +73,8 @@ def bench_netlist(gates: int, budgets, seed: int = 2010) -> dict:
         gate_stats, gate_s = _timed(lambda: gate_sim.run(n_patterns))
         array_stats, array_s = _timed(lambda: array_sim.run(n_patterns))
         assert array_stats.toggles == gate_stats.toggles, (
-            f"kernels diverged at gates={gates} n={n_patterns}")
+            f"kernel and reference diverged at gates={gates} "
+            f"n={n_patterns}")
         evals = gates * n_patterns
         rows.append({
             "n_patterns": n_patterns,

@@ -14,7 +14,7 @@ XOR-richer operator mix (datapath-like blocks: parity, adders and
 comparators are XOR-heavy — the regime where the ambipolar library's
 transmission-gate XOR cells matter most, cf. the cell mixes of
 arXiv:1411.2088).  Generation cost is linear in ``gates``, so the
-family scales to million-gate stress subjects for the array kernel.
+family scales to million-gate stress subjects for the simulation kernel.
 
 :func:`random_mapped_netlist` sidesteps synthesis and mapping entirely
 and emits a random *mapped* netlist straight from a library's cells —

@@ -403,8 +403,7 @@ def _config_from_flags(args):
     for flag, field in (("vdd", "vdd"), ("frequency", "frequency"),
                         ("fanout", "fanout"), ("patterns", "n_patterns"),
                         ("state_patterns", "state_patterns"),
-                        ("seed", "seed"), ("backend", "backend"),
-                        ("sim_kernel", "sim_kernel")):
+                        ("seed", "seed"), ("backend", "backend")):
         value = getattr(args, flag)
         if value is not None:
             overrides[field] = value
@@ -430,11 +429,6 @@ def _add_config_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="estimator backend (default bitsim)")
-    parser.add_argument("--sim-kernel", default=None, metavar="NAME",
-                        dest="sim_kernel",
-                        help="bit-parallel kernel: auto, gate or array "
-                             "(bit-identical; auto picks array for "
-                             "large netlists)")
 
 
 def _serve_fleet(args, config) -> int:
@@ -512,7 +506,6 @@ def _cmd_serve(args) -> int:
         drained.set()
         print(f"{signame}: draining "
               f"({server.inflight} request(s) in flight)", flush=True)
-        server.begin_drain()
         if not server.wait_idle(timeout=args.drain_timeout):
             print(f"drain timeout of {args.drain_timeout:g}s hit; "
                   f"shutting down with requests in flight", flush=True)
@@ -520,13 +513,19 @@ def _cmd_serve(args) -> int:
         server.shutdown()
 
     def on_signal(signum, frame):
+        # Stop admitting before the handler returns, so a request the
+        # main thread accepts after the signal already sees the server
+        # draining.  Safe to lock here: once the handlers are installed
+        # the main thread only runs serve_forever, which takes no
+        # server lock.
+        server.begin_drain()
         threading.Thread(target=drain, name="drain",
                          args=(signal.Signals(signum).name,),
                          daemon=True).start()
 
+    server.mark_ready()
     signal.signal(signal.SIGTERM, on_signal)
     signal.signal(signal.SIGINT, on_signal)
-    server.mark_ready()
     try:
         server.serve_forever()
     finally:
@@ -776,7 +775,7 @@ def _cmd_optimize(args) -> int:
     overrides = {}
     for flag, field in (("fanout", "fanout"), ("patterns", "n_patterns"),
                         ("state_patterns", "state_patterns"),
-                        ("seed", "seed"), ("sim_kernel", "sim_kernel")):
+                        ("seed", "seed")):
         value = getattr(args, flag)
         if value is not None:
             overrides[field] = value
@@ -1061,8 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="short-circuit state sample size")
     optimize.add_argument("--seed", type=int, default=None)
-    optimize.add_argument("--sim-kernel", default=None, metavar="NAME",
-                          help="bitsim kernel (auto/levelized/python)")
     optimize.add_argument("--url", default=None, metavar="URL",
                           help="evaluate on a running 'repro serve' "
                                "endpoint instead of in-process")

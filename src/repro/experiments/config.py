@@ -12,11 +12,6 @@ netlist into a power report — ``"bitsim"`` is the paper's
 random-pattern method.  The field rides through ``to_dict`` /
 ``from_dict`` and therefore into sweep task keys, so stored results
 never mix backends.
-
-``sim_kernel`` picks the bitsim execution kernel (per-gate vs the
-levelized array path, ``"auto"`` by gate count).  Unlike ``backend``
-it does **not** enter task keys: both kernels are bit-identical, so a
-result computed by either answers both (see :meth:`key_dict`).
 """
 
 from __future__ import annotations
@@ -30,14 +25,6 @@ from repro.power.model import PowerParameters
 #: The class default of ``state_patterns`` (leakage-state histogram
 #: budget); :meth:`ExperimentConfig.scaled` re-derives clamps from it.
 DEFAULT_STATE_PATTERNS = 65_536
-
-#: Accepted ``sim_kernel`` values.  ``"auto"`` lets
-#: :mod:`repro.sim.kernels` pick by gate count; ``"gate"`` / ``"array"``
-#: force the per-gate or the levelized array kernel.  Both kernels are
-#: bit-identical, so the knob is serialized (``to_dict``/``from_dict``)
-#: but *excluded* from activity/query/task keys — see
-#: :meth:`ExperimentConfig.key_dict`.
-SIM_KERNELS = ("auto", "gate", "array")
 
 
 @dataclass(frozen=True)
@@ -55,7 +42,6 @@ class ExperimentConfig:
     mapper_cut_limit: int = 8
     mapper_area_rounds: int = 2
     backend: str = "bitsim"       # registered estimator backend key
-    sim_kernel: str = "auto"      # bitsim kernel policy (see SIM_KERNELS)
 
     def __post_init__(self) -> None:
         if self.n_patterns < 1:
@@ -64,10 +50,6 @@ class ExperimentConfig:
         if self.state_patterns < 1:
             raise ExperimentError(
                 f"state_patterns must be >= 1, got {self.state_patterns}")
-        if self.sim_kernel not in SIM_KERNELS:
-            raise ExperimentError(
-                f"unknown sim_kernel {self.sim_kernel!r}; choose from "
-                f"{', '.join(SIM_KERNELS)}")
 
     @property
     def power_parameters(self) -> PowerParameters:
@@ -99,20 +81,6 @@ class ExperimentConfig:
         """Plain-JSON form (sweep stores persist this with every point)."""
         return asdict(self)
 
-    def key_dict(self) -> Dict[str, Any]:
-        """The fields that determine the *result* — the content-hash
-        payload behind ``query_key``/``task_key``.
-
-        Every field except ``sim_kernel``: the gate and array kernels
-        are bit-identical, so the kernel choice must not fork cache
-        keys (a store written with one kernel warm-starts the other).
-        Hashing this dict produces exactly the hash of the pre-kernel
-        dataclass, so existing stores keep matching.
-        """
-        payload = asdict(self)
-        del payload["sim_kernel"]
-        return payload
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentConfig":
         """Inverse of :meth:`to_dict`; rejects unknown fields.
@@ -121,11 +89,13 @@ class ExperimentConfig:
         field existed (e.g. ``backend``) load with today's semantics.
         """
         known = {field.name for field in fields(cls)}
-        unknown = sorted(set(data) - known)
+        # A removed execution knob that never changed an answer (and
+        # never entered a key); older sweep stores and clients send it.
+        unknown = sorted(set(data) - known - {"sim_kernel"})
         if unknown:
             raise ExperimentError(
                 f"unknown ExperimentConfig fields: {', '.join(unknown)}")
-        return cls(**data)
+        return cls(**{name: data[name] for name in known & set(data)})
 
 
 #: The paper's configuration.

@@ -42,7 +42,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     as_completed,
 )
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, Set, TypeVar
 
 from repro.errors import WorkerCrashError
 
@@ -180,13 +180,27 @@ def parallel_map_stream(func: Callable[[_T], _R], items: Iterable[_T],
         chunks = [pending[start:start + round_chunk]
                   for start in range(0, len(pending), round_chunk)]
         crashed = False
+        unsubmitted: Set[int] = set()
         with ProcessPoolExecutor(
                 max_workers=min(n_workers, len(chunks)),
                 initializer=_worker_init,
                 initargs=(snapshot,)) as pool:
-            futures = {pool.submit(_run_chunk, func,
-                                   [work[i] for i in chunk]): chunk
-                       for chunk in chunks}
+            futures = {}
+            for position, chunk in enumerate(chunks):
+                try:
+                    future = pool.submit(_run_chunk, func,
+                                         [work[i] for i in chunk])
+                except BrokenExecutor:
+                    # A worker died before this chunk went out: the
+                    # round crashed, but no chunk from here on ever
+                    # ran, so none of them is a suspect.  (A fresh
+                    # pool accepts its first chunk, so every round
+                    # still charges or finishes at least one.)
+                    crashed = True
+                    unsubmitted = {i for rest in chunks[position:]
+                                   for i in rest}
+                    break
+                futures[future] = chunk
             for future in as_completed(futures):
                 chunk = futures[future]
                 try:
@@ -204,9 +218,10 @@ def parallel_map_stream(func: Callable[[_T], _R], items: Iterable[_T],
                         callback(work[index], result)
         if not crashed:
             break
-        unfinished = [i for i in pending if not finished[i]]
-        retry: List[int] = []
-        for index in unfinished:
+        retry = [i for i in pending if i in unsubmitted]
+        for index in pending:
+            if finished[index] or index in unsubmitted:
+                continue
             crash_counts[index] += 1
             if crash_counts[index] <= crash_retries:
                 retry.append(index)

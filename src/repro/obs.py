@@ -3,7 +3,7 @@
 Every layer counts its work here under a dotted name: the caches
 (``activity.hits``, ``timing.computes``, ...), the disk tier
 (``disk.quarantined``, ``disk.flight_leader``, ...), the simulation
-kernels (``sim.kernel.array.gate_evals``), the foundry
+kernel (``sim.gate_evals``, ``sim.elapsed_s``), the foundry
 (``foundry.artifact_hits``) and the SPICE solver (``spice.solves``).
 
 Counters only grow; there is deliberately no reset.  A reader takes a

@@ -208,8 +208,7 @@ def _price_group(engine: "Engine", netlist, queries: List[PowerQuery],
     config = queries[misses[0]].config
     start = time.perf_counter()
     stats = simulation_stats(netlist, config.n_patterns, config.seed,
-                             config.state_patterns,
-                             kernel=config.sim_kernel)
+                             config.state_patterns)
     deadline.check("price")
     reports = estimate_many(
         netlist, stats,

@@ -56,8 +56,6 @@ SCHEMA_VERSION = 2
 #:
 #: v2: ``ExperimentConfig`` gained the ``backend`` field (estimator
 #: backend selection), which is part of the hashed config payload.
-#: (``sim_kernel`` deliberately did *not* bump this: it is excluded
-#: from the hashed payload — see :meth:`ExperimentConfig.key_dict`.)
 TASK_SCHEMA_VERSION = 2
 
 #: ``cache_status`` values a service response may carry.
@@ -132,16 +130,11 @@ class PowerQuery:
 
     @property
     def query_key(self) -> str:
-        # config.key_dict() rather than the dataclass: ``sim_kernel``
-        # is a pure performance knob (kernels are bit-identical) and
-        # must not fork keys.  The remaining fields normalize exactly
-        # as the dataclass did before the field existed, so stored
-        # task keys keep matching without a schema bump.
         return stable_hash({
             "schema": TASK_SCHEMA_VERSION,
             "circuit": self.circuit,
             "library": self.library,
-            "config": self.config.key_dict(),
+            "config": self.config.to_dict(),
         })
 
     def to_dict(self) -> Dict[str, Any]:

@@ -45,7 +45,7 @@ import time
 from collections import Counter
 from concurrent.futures import Future, TimeoutError as FutureTimeout
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro import __version__, faults, foundry, obs, registry, timing
 from repro.api import Session
@@ -183,32 +183,20 @@ class Engine:
                 # moved aside and transparently recomputed.
                 "disk": obs.section(delta, "disk", DISK_COUNTERS),
             },
-            "sim": self._sim_stats(delta),
+            # Simulations since this engine started and the kernel's
+            # throughput over them (gates x patterns per second).
+            "sim": {
+                "simulations": delta["activity.computes"],
+                "gate_evals_per_s": (
+                    delta["sim.gate_evals"] / delta["sim.elapsed_s"]
+                    if delta["sim.elapsed_s"] > 0 else 0.0),
+            },
             # spice_solves is the acceptance meter: a server running
             # against a complete prebuilt artifact store holds it at 0.
             "foundry": {**obs.section(delta, "foundry",
                                       foundry.FOUNDRY_COUNTERS),
                         "spice_solves": delta["spice.solves"]},
             "counters": counters,
-        }
-
-    def _sim_stats(self, delta: Mapping[str, float]) -> Dict[str, Any]:
-        """Kernel-selection policy and per-kernel throughput since this
-        engine started (part of the ``/healthz`` payload)."""
-        from repro.sim.kernels import AUTO_ARRAY_THRESHOLD
-
-        kernels = {}
-        for kernel in ("gate", "array"):
-            meters = obs.section(delta, f"sim.kernel.{kernel}",
-                                 ("simulations", "gate_evals", "elapsed_s"))
-            elapsed = meters["elapsed_s"]
-            meters["gate_evals_per_s"] = (meters["gate_evals"] / elapsed
-                                          if elapsed > 0 else 0.0)
-            kernels[kernel] = meters
-        return {
-            "default_kernel": self.session.config.sim_kernel,
-            "auto_array_threshold": AUTO_ARRAY_THRESHOLD,
-            "kernels": kernels,
         }
 
     def bump(self, name: str, amount: int = 1) -> None:

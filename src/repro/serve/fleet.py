@@ -124,9 +124,9 @@ def merge_counters(into: Dict[str, Any],
                    payload: Dict[str, Any]) -> Dict[str, Any]:
     """Recursively sum ``payload``'s numeric leaves into ``into``.
 
-    Non-numeric leaves (version strings, kernel names, config blocks)
-    are skipped — the result is a pure counter aggregate, which is the
-    only thing that is meaningful summed across workers.
+    Non-numeric leaves (version strings, config blocks) are skipped —
+    the result is a pure counter aggregate, which is the only thing
+    that is meaningful summed across workers.
     """
     for key, value in payload.items():
         if isinstance(value, bool):

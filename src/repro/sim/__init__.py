@@ -1,14 +1,14 @@
 """Gate-level simulation and circuit power estimation.
 
 The paper estimates circuit power by applying 640 K random patterns to
-the mapped netlists.  :mod:`repro.sim.bitsim` performs that simulation
+the mapped netlists.  :mod:`repro.sim.arraysim` performs that simulation
 64 patterns at a time on numpy uint64 words; :mod:`repro.sim.estimator`
 turns the measured toggle rates and input-state statistics into the
 four power components of Eq. 1, using the same pattern-classified
 leakage data as the library characterization.
 """
 
-from repro.sim.bitsim import BitParallelSimulator, SimulationStats
+from repro.sim.arraysim import SimulationStats
 from repro.sim.activity import (
     activity_key,
     netlist_activity_key,
@@ -30,7 +30,6 @@ from repro.sim.backends import (
 )
 
 __all__ = [
-    "BitParallelSimulator",
     "SimulationStats",
     "activity_key",
     "netlist_activity_key",

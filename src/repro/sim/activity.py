@@ -8,7 +8,7 @@ VDD, frequency and the leakage tables — cheap).  This module owns the
 first half as a first-class cacheable artifact:
 
 * :func:`simulation_stats` returns the
-  :class:`~repro.sim.bitsim.SimulationStats` of a netlist, keyed by a
+  :class:`~repro.sim.arraysim.SimulationStats` of a netlist, keyed by a
   stable content hash of ``(netlist content, n_patterns, seed,
   state_patterns)``.  Results are held in a per-process LRU and,
   unless :mod:`repro.cache` persistence is disabled, on disk — a
@@ -32,13 +32,15 @@ cold key; both simulations are deterministic and identical.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Optional
 
+from repro import obs
 from repro.cache import Ladder, stable_hash
-from repro.sim.bitsim import (
-    _WORD_BITS,
-    DEFAULT_STATE_SAMPLE,
+from repro.sim.arraysim import (
+    ArraySimulator,
     SimulationStats,
+    effective_state_patterns,
 )
 
 #: Disk-cache namespace for persisted simulation statistics.
@@ -56,24 +58,6 @@ DEFAULT_MAX_CACHED_STATS = 32
 #: Attribute name used to memoize a netlist's content key on the
 #: instance (mapped netlists are effectively immutable once built).
 _KEY_ATTR = "_repro_activity_key"
-
-
-def effective_state_patterns(n_patterns: int,
-                             state_patterns: Optional[int] = None) -> int:
-    """The state-histogram budget a simulation will actually use.
-
-    Mirrors the normalization of :meth:`BitParallelSimulator.run`
-    (default sample, cap at ``n_patterns``, rounding to whole 64-bit
-    words), so two requests that differ only in an immaterial way —
-    say 100 vs 128 state patterns — share one cache entry.
-    """
-    if state_patterns is None:
-        state_patterns = min(n_patterns, DEFAULT_STATE_SAMPLE)
-    state_patterns = min(state_patterns, n_patterns)
-    n_words = (n_patterns + _WORD_BITS - 1) // _WORD_BITS
-    state_words = min((state_patterns + _WORD_BITS - 1) // _WORD_BITS,
-                      n_words)
-    return min(state_words * _WORD_BITS, n_patterns)
 
 
 def netlist_activity_key(netlist) -> str:
@@ -178,18 +162,15 @@ LADDER = Ladder(ACTIVITY_NAMESPACE, SimulationStats.to_payload, _decode,
 
 
 def simulation_stats(netlist, n_patterns: int, seed: int = 2010,
-                     state_patterns: Optional[int] = None,
-                     kernel: str = "auto") -> SimulationStats:
+                     state_patterns: Optional[int] = None
+                     ) -> SimulationStats:
     """The (cached) simulation statistics of a mapped netlist.
 
     Climbs :data:`LADDER` — the per-process LRU, then the
     :mod:`repro.cache` disk store — and only then runs the bit-parallel
-    simulation with the selected kernel
-    (:func:`repro.sim.kernels.run_simulation`).  ``kernel`` is
-    execution policy only — the gate and array kernels are
-    bit-identical, so it is deliberately absent from the cache key and
-    a warm entry answers every kernel's request.  The returned object
-    is shared — treat it as immutable.
+    simulation (:class:`~repro.sim.arraysim.ArraySimulator`), metered
+    as ``sim.gate_evals`` (gates x patterns) and ``sim.elapsed_s``.
+    The returned object is shared — treat it as immutable.
 
     The cold path is **cross-process single-flight**
     (:func:`repro.cache.single_flight`): when several worker processes
@@ -204,9 +185,11 @@ def simulation_stats(netlist, n_patterns: int, seed: int = 2010,
                effective_state_patterns(n_patterns, state_patterns))
 
     def compute() -> SimulationStats:
-        from repro.sim.kernels import run_simulation
-
-        return run_simulation(netlist, n_patterns, seed, state_patterns,
-                              kernel=kernel)
+        start = time.perf_counter()
+        stats = ArraySimulator(netlist).run(n_patterns, seed,
+                                            state_patterns)
+        obs.count("sim.gate_evals", netlist.gate_count * n_patterns)
+        obs.count("sim.elapsed_s", time.perf_counter() - start)
+        return stats
 
     return LADDER.get(key, request, compute)

@@ -1,48 +1,67 @@
-"""Levelized struct-of-arrays bit-parallel simulation.
+"""64-way bit-parallel logic simulation: the levelized array kernel.
 
-The per-gate simulator (:mod:`repro.sim.bitsim`) walks the netlist one
-cell instance at a time in Python — fine at paper scale (a few thousand
-gates), a hard floor at the 10^5–10^6-gate synthetic netlists the
-scaling studies need.  This module refactors the mapped netlist into a
-struct-of-arrays form and evaluates it level by level:
+The paper estimates circuit power by applying 640 K random patterns to
+the mapped netlist.  Bit ``i`` of word ``w`` is a net's value under
+pattern ``64*w + i``; cells evaluate through their ISOP covers (a
+handful of AND/OR word operations each).  Besides net values the
+simulation collects:
+
+* toggle counts between consecutive patterns (switching activity for
+  Eq. 2) and
+* per-gate input-state frequencies (to weight the pattern-classified
+  leakage currents by how often each input vector actually occurs),
+  on a pattern subsample since leakage averages converge much faster
+  than activity estimates.
+
+The mapped netlist is lowered once to a struct-of-arrays form and
+evaluated level by level:
 
 * every net gets an integer index (PIs first, then gate outputs in
-  topological order) and all net values live in one
-  ``(n_nets, n_words)`` uint64 matrix;
+  topological order) and net values live in one ``(n_nets, window)``
+  uint64 matrix;
 * gates are grouped by ``(logic level, cell)``; one group evaluates as
   a handful of whole-matrix numpy bitwise ops over its gathered fanin
   rows — the Python interpreter touches ``(level, cell, cube, var)``
   tuples, never individual gates;
 * toggle counting and the input-state histograms run vectorized over
-  the whole matrix (the histogram in memory-bounded pattern x gate
-  chunks).
+  the matrix (the histogram in memory-bounded pattern x gate chunks).
 
-Every operation is exact integer/bitwise arithmetic on the same
-tail-masked words, drawn from the same per-PI RNG stream, so
-:meth:`ArraySimulator.run` is **bit-identical** to
-:meth:`BitParallelSimulator.run` — same toggle counts, same state
-histograms, same ``SimulationStats`` — which the property tests and the
-12-benchmark identity test assert.  Kernel choice is therefore pure
-performance policy (:mod:`repro.sim.kernels`), invisible to cache keys
-and stored results.
+The pattern axis is streamed in windows of :data:`WINDOW_WORDS` words:
+the PI words are drawn up front (one ``n_words`` draw per PI, in
+``pi_names`` order), and each window is evaluated, counted and dropped.
+Toggles carry each net's last bit across a window boundary and the
+state histograms add up over the windows inside the state sample, so
+memory is ``O(nets x window)`` plus the PI words, whatever the pattern
+budget.
+
+:class:`~repro.sim.bitsim.BitParallelSimulator`, a per-gate Python
+loop over the same words, is kept as the reference this kernel is
+tested against: the results are bit-identical (same toggle counts,
+same state histograms), which property tests and a 12-benchmark
+identity test assert.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.bitsim import (
-    _UINT64_ALL_ONES,
-    _WORD_BITS,
-    DEFAULT_STATE_SAMPLE,
-    SimulationStats,
-)
 from repro.synth.netlist import MappedNetlist
 from repro.synth.sop import isop
+
+_WORD_BITS = 64
+_UINT64_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Default pattern budget of the leakage-state histogram (leakage
+#: averages converge much faster than activity estimates).
+DEFAULT_STATE_SAMPLE = 65_536
+
+#: Words per pattern window (32 K patterns): the net-value matrix of
+#: one window is all the simulation holds besides the PI words.
+WINDOW_WORDS = 512
 
 #: Attribute memoizing the levelized form on the netlist instance
 #: (mapped netlists are effectively immutable once built).
@@ -53,9 +72,111 @@ _ARRAYS_ATTR = "_repro_levelized"
 #: regardless of netlist size).
 _STATE_CHUNK_ELEMS = 1 << 23
 
-#: Row chunk of the vectorized toggle count (bounds the XOR/popcount
-#: temporaries to a few MB at any netlist size).
-_TOGGLE_CHUNK_ROWS = 4096
+#: Row chunk of the vectorized toggle count: its shift/XOR temporaries
+#: stay cache-sized (1 MB at a full window) at any netlist size.
+_TOGGLE_CHUNK_ROWS = 256
+
+
+@dataclass
+class SimulationStats:
+    """Results of one simulation run."""
+
+    n_patterns: int
+    #: toggles between consecutive patterns, per net.
+    toggles: Dict[str, int]
+    #: per-gate input-vector counts: gate name -> array of size 2^k.
+    state_counts: Dict[str, np.ndarray]
+    #: patterns actually used for the state counts.
+    n_state_patterns: int
+
+    def toggle_rate(self, net: str) -> float:
+        """Transitions per cycle for a net (the measured activity)."""
+        if self.n_patterns < 2:
+            return 0.0
+        return self.toggles.get(net, 0) / (self.n_patterns - 1)
+
+    def toggle_rates(self, nets: Sequence[str]) -> np.ndarray:
+        """Vectorized :meth:`toggle_rate` over many nets at once.
+
+        Element ``i`` equals ``toggle_rate(nets[i])`` bit for bit (the
+        same int64 toggle count divided by the same denominator); the
+        pricing layer consumes whole-netlist activity as one array
+        instead of one dictionary lookup per gate.
+        """
+        if self.n_patterns < 2:
+            return np.zeros(len(nets))
+        counts = np.fromiter((self.toggles.get(net, 0) for net in nets),
+                             dtype=np.int64, count=len(nets))
+        return counts / (self.n_patterns - 1)
+
+    # -- persistence --------------------------------------------------------
+
+    def to_payload(self) -> Dict[str, Any]:
+        """Plain-JSON form (integers only, so the round trip is exact)."""
+        return {
+            "n_patterns": self.n_patterns,
+            "n_state_patterns": self.n_state_patterns,
+            "toggles": dict(self.toggles),
+            "state_counts": {name: counts.tolist()
+                             for name, counts in self.state_counts.items()},
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "SimulationStats":
+        """Inverse of :meth:`to_payload`.
+
+        Raises ``TypeError``/``ValueError`` on malformed payloads (the
+        activity cache treats either as a miss).
+        """
+        state_counts = {
+            str(name): np.asarray(counts, dtype=np.int64)
+            for name, counts in dict(payload["state_counts"]).items()}
+        return cls(
+            n_patterns=int(payload["n_patterns"]),
+            toggles={str(net): int(count)
+                     for net, count in dict(payload["toggles"]).items()},
+            state_counts=state_counts,
+            n_state_patterns=int(payload["n_state_patterns"]),
+        )
+
+
+def pattern_words(n_patterns: int) -> Tuple[int, np.uint64]:
+    """The words holding ``n_patterns`` patterns, and the mask of the
+    real patterns in the last one (all ones when it is full)."""
+    n_words = (n_patterns + _WORD_BITS - 1) // _WORD_BITS
+    tail_bits = n_patterns - (n_words - 1) * _WORD_BITS
+    return n_words, np.uint64((1 << tail_bits) - 1)
+
+
+def effective_state_patterns(n_patterns: int,
+                             state_patterns: Optional[int] = None) -> int:
+    """The state-histogram budget a simulation actually uses.
+
+    The default sample, capped at ``n_patterns`` and rounded up to
+    whole 64-bit words (then capped again).  The activity cache keys on
+    this value, so two requests that differ only in an immaterial way —
+    say 100 vs 128 state patterns — share one entry.
+    """
+    if state_patterns is None:
+        state_patterns = DEFAULT_STATE_SAMPLE
+    state_words = (min(state_patterns, n_patterns) + _WORD_BITS - 1) \
+        // _WORD_BITS
+    return min(state_words * _WORD_BITS, n_patterns)
+
+
+def random_pi_words(n_pis: int, n_patterns: int, seed: int) -> np.ndarray:
+    """Seeded uniform random PI words, one tail-masked row per PI.
+
+    One draw of ``n_words`` words per PI, in PI order: the pattern
+    stream every simulation of the netlist sees.
+    """
+    n_words, tail_mask = pattern_words(n_patterns)
+    rng = np.random.default_rng(seed)
+    words = np.empty((n_pis, n_words), dtype=np.uint64)
+    for row in words:
+        row[:] = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
+    words[:, -1] &= tail_mask
+    return words
 
 
 @dataclass(frozen=True)
@@ -237,12 +358,7 @@ def levelized(netlist: MappedNetlist) -> LevelizedNetlist:
 
 
 class ArraySimulator:
-    """Levelized array twin of :class:`BitParallelSimulator`.
-
-    Same constructor and :meth:`run` contract; the returned
-    :class:`SimulationStats` is bit-identical to the per-gate path for
-    every ``(n_patterns, seed, state_patterns)``.
-    """
+    """The simulation kernel bound to one mapped netlist."""
 
     def __init__(self, netlist: MappedNetlist):
         self.netlist = netlist
@@ -250,38 +366,47 @@ class ArraySimulator:
 
     def run(self, n_patterns: int, seed: int = 2010,
             state_patterns: Optional[int] = None) -> SimulationStats:
-        """Simulate ``n_patterns`` seeded random patterns (see
-        :meth:`BitParallelSimulator.run`)."""
+        """Simulate ``n_patterns`` uniform random input patterns.
+
+        Args:
+            n_patterns: total patterns (the paper uses 640 K).
+            seed: RNG seed (all experiments are reproducible).
+            state_patterns: patterns used for the per-gate input-state
+                histogram (defaults to min(n_patterns, 65536); see
+                :func:`effective_state_patterns`).
+
+        Returns:
+            A :class:`SimulationStats` with toggle counts and state
+            frequencies.
+        """
         if n_patterns < 1:
             raise SimulationError("n_patterns must be >= 1")
-        if state_patterns is None:
-            state_patterns = min(n_patterns, DEFAULT_STATE_SAMPLE)
-        state_patterns = min(state_patterns, n_patterns)
-
         arrays = self.arrays
-        n_words = (n_patterns + _WORD_BITS - 1) // _WORD_BITS
-        tail_bits = n_patterns - (n_words - 1) * _WORD_BITS
-        tail_mask = (_UINT64_ALL_ONES if tail_bits == _WORD_BITS
-                     else np.uint64((1 << tail_bits) - 1))
+        state_patterns = effective_state_patterns(n_patterns,
+                                                  state_patterns)
+        pi_words = random_pi_words(arrays.n_pis, n_patterns, seed)
 
-        values = np.zeros((arrays.n_nets, n_words), dtype=np.uint64)
-        # Identical RNG stream to the per-gate path: one draw of
-        # n_words words per PI, in pi_names order, tail-masked.
-        rng = np.random.default_rng(seed)
-        for i in range(arrays.n_pis):
-            words = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
-            words[-1] &= tail_mask
-            values[i] = words
+        totals = np.zeros(arrays.n_nets, dtype=np.int64)
+        counts = [np.zeros((len(group.gate_positions),
+                            1 << arrays.arity[group.cell_id]),
+                           dtype=np.int64)
+                  for group in arrays.cell_groups]
+        carry = None
+        for start, values, last_mask in self._stream(pi_words, n_patterns):
+            totals += self._count_toggles(values, carry, last_mask)
+            carry = values[:, -1] >> np.uint64(_WORD_BITS - 1)
+            sample = state_patterns - start * _WORD_BITS
+            if sample > 0:
+                self._add_state_counts(
+                    values, min(sample, values.shape[1] * _WORD_BITS),
+                    counts)
 
-        for level in arrays.schedule:
-            for group in level:
-                self._evaluate_group(group, values, tail_mask)
-
-        totals = self._count_toggles(values, n_patterns)
-        toggles = {name: int(totals[i])
-                   for i, name in enumerate(arrays.net_names)}
-        state_counts, state_patterns = self._state_histogram(
-            values, n_patterns, state_patterns, n_words)
+        toggles = dict(zip(arrays.net_names, totals.tolist()))
+        state_counts: Dict[str, np.ndarray] = {}
+        for group, group_counts in zip(arrays.cell_groups, counts):
+            for row, position in enumerate(group.gate_positions):
+                state_counts[arrays.gate_names[position]] = \
+                    group_counts[row]
         return SimulationStats(
             n_patterns=n_patterns,
             toggles=toggles,
@@ -289,7 +414,53 @@ class ArraySimulator:
             n_state_patterns=state_patterns,
         )
 
+    def output_words(self, pi_words: np.ndarray,
+                     n_patterns: int) -> Dict[str, np.ndarray]:
+        """PO values under ``pi_words`` (one tail-masked row per PI,
+        e.g. from :func:`random_pi_words`), for equivalence checks."""
+        arrays = self.arrays
+        n_words, tail_mask = pattern_words(n_patterns)
+        net_index = {name: i for i, name in enumerate(arrays.net_names)}
+        outputs: Dict[str, np.ndarray] = {}
+        for name, (kind, value) in self.netlist.po_bindings:
+            word = _UINT64_ALL_ONES if kind == "const" and value \
+                else np.uint64(0)
+            outputs[name] = np.full(n_words, word, dtype=np.uint64)
+            outputs[name][-1] &= tail_mask
+        nets = [(name, net_index[value])
+                for name, (kind, value) in self.netlist.po_bindings
+                if kind != "const"]
+        for start, values, _ in self._stream(pi_words, n_patterns):
+            stop = start + values.shape[1]
+            for name, row in nets:
+                outputs[name][start:stop] = values[row]
+        return outputs
+
     # -- core evaluation -----------------------------------------------------
+
+    def _stream(self, pi_words: np.ndarray, n_patterns: int
+                ) -> Iterator[Tuple[int, np.ndarray, np.uint64]]:
+        """Evaluate the netlist one pattern window at a time.
+
+        Yields ``(first word, values, last_mask)``: ``values`` is the
+        ``(n_nets, w)`` net-value matrix of the window (``w <=
+        WINDOW_WORDS``, a view of one buffer reused by the next
+        window) and ``last_mask`` masks the real patterns of its last
+        word — all ones except in the final window's tail word.
+        """
+        arrays = self.arrays
+        n_words, tail_mask = pattern_words(n_patterns)
+        width = min(WINDOW_WORDS, n_words)
+        buffer = np.empty((arrays.n_nets, width), dtype=np.uint64)
+        for start in range(0, n_words, width):
+            stop = min(start + width, n_words)
+            values = buffer[:, :stop - start]
+            values[:arrays.n_pis] = pi_words[:, start:stop]
+            last_mask = tail_mask if stop == n_words else _UINT64_ALL_ONES
+            for level in arrays.schedule:
+                for group in level:
+                    self._evaluate_group(group, values, last_mask)
+            yield start, values, last_mask
 
     def _evaluate_group(self, group: _LevelGroup, values: np.ndarray,
                         tail_mask: np.uint64) -> None:
@@ -323,86 +494,73 @@ class ArraySimulator:
     # -- statistics ----------------------------------------------------------
 
     @staticmethod
-    def _count_toggles(values: np.ndarray, n_patterns: int) -> np.ndarray:
-        """Per-net toggle counts, vectorized over the whole matrix.
+    def _count_toggles(values: np.ndarray, carry: Optional[np.ndarray],
+                       last_mask: np.uint64) -> np.ndarray:
+        """Per-net transitions between consecutive patterns of a window.
 
-        Row ``i`` equals ``BitParallelSimulator._count_toggles`` of net
-        ``i`` exactly (same popcounts, same cross-word boundary bits,
-        same phantom-tail subtraction — all small exact integers).
+        Each word is XORed with the pattern stream shifted by one (its
+        own bits 1-63, then bit 0 of the next word), so bit ``i`` flags
+        a transition out of pattern ``i``.  The window's last word
+        keeps only transitions between its real patterns (``last_mask
+        >> 1``); the one into the next window is counted there, from
+        ``carry`` (bit 63 of each net's last word in the previous
+        window).  All exact integers, so the sum over windows equals
+        the reference's per-net count bit for bit.
         """
-        n_nets, n_words = values.shape
-        totals = np.zeros(n_nets, dtype=np.int64)
-        if n_patterns < 2:
-            return totals
-        mask63 = np.uint64((1 << (_WORD_BITS - 1)) - 1)
+        totals = np.empty(values.shape[0], dtype=np.int64)
         one = np.uint64(1)
-        for start in range(0, n_nets, _TOGGLE_CHUNK_ROWS):
+        for start in range(0, values.shape[0], _TOGGLE_CHUNK_ROWS):
             rows = values[start:start + _TOGGLE_CHUNK_ROWS]
-            within = (rows ^ (rows >> one)) & mask63
-            part = np.bitwise_count(within).sum(axis=1, dtype=np.int64)
-            if n_words > 1:
-                high = rows[:, :-1] >> np.uint64(_WORD_BITS - 1)
-                low = rows[:, 1:] & one
-                part += (high ^ low).sum(axis=1, dtype=np.int64)
-            totals[start:start + _TOGGLE_CHUNK_ROWS] = part
-        tail_bits = n_patterns - (n_words - 1) * _WORD_BITS
-        if tail_bits < _WORD_BITS:
-            last_real = (values[:, -1] >> np.uint64(tail_bits - 1)) & one
-            totals -= last_real.astype(np.int64)
+            flips = rows >> one
+            flips[:, :-1] |= rows[:, 1:] << np.uint64(_WORD_BITS - 1)
+            flips ^= rows
+            flips[:, -1] &= last_mask >> one
+            totals[start:start + _TOGGLE_CHUNK_ROWS] = np.bitwise_count(
+                flips).sum(axis=1, dtype=np.int64)
+        if carry is not None:
+            totals += (carry ^ (values[:, 0] & one)).astype(np.int64)
         return totals
 
-    def _state_histogram(self, values: np.ndarray, n_patterns: int,
-                         state_patterns: int, n_words: int
-                         ) -> Tuple[Dict[str, np.ndarray], int]:
-        """Per-gate input-vector histograms over the state sample.
+    def _add_state_counts(self, values: np.ndarray, n_sample: int,
+                          counts: List[np.ndarray]) -> None:
+        """Add one window's share of the state sample (its first
+        ``n_sample`` patterns) to the per-cell-group histograms.
 
-        Whole-word normalization as in the per-gate path.  The counting
-        never unpacks patterns to bytes: the number of sample patterns
-        on which a gate's k inputs spell the state ``s`` is the
-        popcount of the AND of its k input words, each complemented
-        where ``s`` has a 0 bit — computed for all ``2^k`` states as a
-        binary AND-tree (:meth:`_histogram_chunk`), vectorized over all
-        gates of a cell.  Each count is the exact cardinality of a
-        pattern subset, so the result equals the per-gate path's
-        pattern-by-pattern bincount bit for bit.
+        The counting never unpacks patterns to bytes: the number of
+        sample patterns on which a gate's k inputs spell the state
+        ``s`` is the popcount of the AND of its k input words, each
+        complemented where ``s`` has a 0 bit — computed for all ``2^k``
+        states as a binary AND-tree (:meth:`_histogram_chunk`),
+        vectorized over all gates of a cell.  Each count is the exact
+        cardinality of a pattern subset, so the result equals the
+        reference's pattern-by-pattern bincount bit for bit.
         """
         arrays = self.arrays
-        state_words = min(
-            (state_patterns + _WORD_BITS - 1) // _WORD_BITS, n_words)
-        state_patterns = min(state_words * _WORD_BITS, n_patterns)
-
-        # Valid-pattern mask over the state window: all ones except the
+        sample_words, last_mask = pattern_words(n_sample)
+        # Valid-pattern mask over the sample: all ones except the
         # (possible) partial last word.  AND-tree roots start from it so
         # complemented inputs cannot pick up phantom patterns from the
         # masked-to-zero tail region.
-        base = np.full(state_words, _UINT64_ALL_ONES, dtype=np.uint64)
-        last_bits = state_patterns - (state_words - 1) * _WORD_BITS
-        if last_bits < _WORD_BITS:
-            base[-1] = np.uint64((1 << last_bits) - 1)
-        window = values[:, :state_words]
-
-        state_counts: Dict[str, np.ndarray] = {}
-        for group in arrays.cell_groups:
+        base = np.full(sample_words, _UINT64_ALL_ONES, dtype=np.uint64)
+        base[-1] = last_mask
+        window = values[:, :sample_words]
+        for group, group_counts in zip(arrays.cell_groups, counts):
             k = arrays.arity[group.cell_id]
             n_group = len(group.gate_positions)
-            counts = np.empty((n_group, 1 << k), dtype=np.int64)
             # The deepest tree level holds 2^(k-1) arrays of
-            # (gate chunk, state_words) words; bound their total size.
-            per_gate = max(1, (1 << max(0, k - 1)) * state_words)
+            # (gate chunk, sample_words) words; bound their total size.
+            per_gate = max(1, (1 << max(0, k - 1)) * sample_words)
             gate_chunk = max(1, _STATE_CHUNK_ELEMS // per_gate)
             for g0 in range(0, n_group, gate_chunk):
                 g1 = min(g0 + gate_chunk, n_group)
                 self._histogram_chunk(window, group.fanins[g0:g1], k,
-                                      base, state_patterns, counts[g0:g1])
-            for row, position in enumerate(group.gate_positions):
-                state_counts[arrays.gate_names[position]] = counts[row]
-        return state_counts, state_patterns
+                                      base, n_sample, group_counts[g0:g1])
 
     @staticmethod
     def _histogram_chunk(window: np.ndarray, fanins: np.ndarray, k: int,
-                         base: np.ndarray, state_patterns: int,
+                         base: np.ndarray, n_sample: int,
                          out: np.ndarray) -> None:
-        """State counts of one gate chunk via a popcount AND-tree.
+        """Add the state counts of one gate chunk via a popcount AND-tree.
 
         ``nodes[s]`` holds, per gate, the word mask of sample patterns
         whose first ``d`` inputs spell the ``d`` low bits of ``s``;
@@ -412,15 +570,14 @@ class ArraySimulator:
         the popcount of ``node & w`` and the bit-0 count is the node's
         total minus it — the same exact integers either way.
         """
-        n_gates = fanins.shape[0]
         if k == 0:
-            out[:, 0] = state_patterns
+            out[:, 0] += n_sample
             return
         if k == 1:
             words = window[fanins[:, 0]]
             ones = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-            out[:, 1] = ones
-            out[:, 0] = state_patterns - ones
+            out[:, 1] += ones
+            out[:, 0] += n_sample - ones
             return
         # Level 0 without materializing the base: input words are
         # already zero outside the valid patterns, so ``words ^ base``
@@ -440,5 +597,5 @@ class ArraySimulator:
             ones = np.bitwise_count(node & words).sum(axis=1,
                                                       dtype=np.int64)
             total = np.bitwise_count(node).sum(axis=1, dtype=np.int64)
-            out[:, state | high_bit] = ones
-            out[:, state] = total - ones
+            out[:, state | high_bit] += ones
+            out[:, state] += total - ones

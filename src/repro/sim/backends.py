@@ -119,7 +119,6 @@ class BitsimBackend:
             n_patterns=config.n_patterns,
             seed=config.seed,
             state_patterns=config.state_patterns,
-            kernel=config.sim_kernel,
         )
 
 
@@ -218,8 +217,7 @@ class SpiceTransientBackend:
                 f"the bitsim backend for large netlists")
         library = netlist.library
         stats = simulation_stats(netlist, config.n_patterns, config.seed,
-                                 config.state_patterns,
-                                 kernel=config.sim_kernel)
+                                 config.state_patterns)
 
         caps = switched_capacitance(netlist)
         alphas = stats.toggle_rates([gate.output for gate in netlist.gates])

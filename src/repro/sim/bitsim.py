@@ -1,100 +1,30 @@
-"""64-way bit-parallel logic simulation of mapped netlists.
+"""The per-gate reference simulator.
 
-Each net holds a numpy ``uint64`` array; bit ``i`` of word ``w`` is the
-net's value under pattern ``64*w + i``.  Cells are evaluated through
-their ISOP covers (a handful of AND/OR word operations each), so a full
-640 K-pattern run over a few thousand gates takes well under a second.
-
-Besides net values the simulator collects:
-
-* toggle counts between consecutive patterns (switching activity for
-  Eq. 2) and
-* per-gate input-state frequencies (to weight the pattern-classified
-  leakage currents by how often each input vector actually occurs),
-  optionally on a pattern subsample since leakage averages converge
-  much faster than activity estimates.
+:class:`BitParallelSimulator` walks the mapped netlist one gate at a
+time in Python, evaluating each cell's ISOP cover on the same 64-pattern
+words, the same seeded PI stream and the same normalization as the
+simulation kernel (:mod:`repro.sim.arraysim`).  Production code never
+runs it: it is the oracle the kernel's property and identity tests and
+``benchmarks/bench_bitsim.py`` compare against, so it stays as plain as
+possible — one word array per net, a bincount per gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.sim.arraysim import (
+    _UINT64_ALL_ONES,
+    _WORD_BITS,
+    SimulationStats,
+    effective_state_patterns,
+    pattern_words,
+)
 from repro.synth.netlist import MappedNetlist
 from repro.synth.sop import isop
-
-_WORD_BITS = 64
-_UINT64_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: Default pattern budget of the leakage-state histogram (leakage
-#: averages converge much faster than activity estimates).
-DEFAULT_STATE_SAMPLE = 65_536
-
-
-@dataclass
-class SimulationStats:
-    """Results of one simulation run."""
-
-    n_patterns: int
-    #: toggles between consecutive patterns, per net.
-    toggles: Dict[str, int]
-    #: per-gate input-vector counts: gate name -> array of size 2^k.
-    state_counts: Dict[str, np.ndarray]
-    #: patterns actually used for the state counts.
-    n_state_patterns: int
-
-    def toggle_rate(self, net: str) -> float:
-        """Transitions per cycle for a net (the measured activity)."""
-        if self.n_patterns < 2:
-            return 0.0
-        return self.toggles.get(net, 0) / (self.n_patterns - 1)
-
-    def toggle_rates(self, nets: Sequence[str]) -> np.ndarray:
-        """Vectorized :meth:`toggle_rate` over many nets at once.
-
-        Element ``i`` equals ``toggle_rate(nets[i])`` bit for bit (the
-        same int64 toggle count divided by the same denominator); the
-        pricing layer consumes whole-netlist activity as one array
-        instead of one dictionary lookup per gate.
-        """
-        if self.n_patterns < 2:
-            return np.zeros(len(nets))
-        counts = np.fromiter((self.toggles.get(net, 0) for net in nets),
-                             dtype=np.int64, count=len(nets))
-        return counts / (self.n_patterns - 1)
-
-    # -- persistence --------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """Plain-JSON form (integers only, so the round trip is exact)."""
-        return {
-            "n_patterns": self.n_patterns,
-            "n_state_patterns": self.n_state_patterns,
-            "toggles": dict(self.toggles),
-            "state_counts": {name: counts.tolist()
-                             for name, counts in self.state_counts.items()},
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "SimulationStats":
-        """Inverse of :meth:`to_payload`.
-
-        Raises ``TypeError``/``ValueError`` on malformed payloads (the
-        activity cache treats either as a miss).
-        """
-        state_counts = {
-            str(name): np.asarray(counts, dtype=np.int64)
-            for name, counts in dict(payload["state_counts"]).items()}
-        return cls(
-            n_patterns=int(payload["n_patterns"]),
-            toggles={str(net): int(count)
-                     for net, count in dict(payload["toggles"]).items()},
-            state_counts=state_counts,
-            n_state_patterns=int(payload["n_state_patterns"]),
-        )
 
 
 def _popcount_words(words: np.ndarray) -> int:
@@ -103,7 +33,7 @@ def _popcount_words(words: np.ndarray) -> int:
 
 
 class BitParallelSimulator:
-    """Simulator bound to one mapped netlist."""
+    """Reference simulator bound to one mapped netlist."""
 
     def __init__(self, netlist: MappedNetlist):
         netlist.validate()
@@ -140,29 +70,15 @@ class BitParallelSimulator:
 
     def run(self, n_patterns: int, seed: int = 2010,
             state_patterns: Optional[int] = None) -> SimulationStats:
-        """Simulate ``n_patterns`` uniform random input patterns.
-
-        Args:
-            n_patterns: total patterns (the paper uses 640 K).
-            seed: RNG seed (all experiments are reproducible).
-            state_patterns: patterns used for the per-gate input-state
-                histogram (defaults to min(n_patterns, 65536)).
-
-        Returns:
-            A :class:`SimulationStats` with toggle counts and state
-            frequencies.
-        """
+        """Simulate ``n_patterns`` uniform random input patterns (the
+        contract of :meth:`repro.sim.arraysim.ArraySimulator.run`)."""
         if n_patterns < 1:
             raise SimulationError("n_patterns must be >= 1")
-        if state_patterns is None:
-            state_patterns = min(n_patterns, DEFAULT_STATE_SAMPLE)
-        state_patterns = min(state_patterns, n_patterns)
+        state_patterns = effective_state_patterns(n_patterns,
+                                                  state_patterns)
 
         netlist = self.netlist
-        n_words = (n_patterns + _WORD_BITS - 1) // _WORD_BITS
-        tail_bits = n_patterns - (n_words - 1) * _WORD_BITS
-        tail_mask = (_UINT64_ALL_ONES if tail_bits == _WORD_BITS
-                     else np.uint64((1 << tail_bits) - 1))
+        n_words, tail_mask = pattern_words(n_patterns)
 
         rng = np.random.default_rng(seed)
         values: Dict[str, np.ndarray] = {}
@@ -180,14 +96,11 @@ class BitParallelSimulator:
         toggles = {net: self._count_toggles(words, n_patterns)
                    for net, words in values.items()}
 
-        # Use whole words for the state histogram, then histogram the
-        # per-pattern input vectors directly: unpack each input net to
-        # one bit per pattern, assemble the k-bit vector index and
-        # bincount it — one numpy pass per gate instead of 2^k masked
-        # popcounts.
-        state_words = min((state_patterns + _WORD_BITS - 1) // _WORD_BITS,
-                          n_words)
-        state_patterns = min(state_words * _WORD_BITS, n_patterns)
+        # Histogram the per-pattern input vectors directly: unpack each
+        # input net to one bit per pattern, assemble the k-bit vector
+        # index and bincount it — one numpy pass per gate instead of
+        # 2^k masked popcounts.
+        state_words = (state_patterns + _WORD_BITS - 1) // _WORD_BITS
         state_counts: Dict[str, np.ndarray] = {}
         library = netlist.library
         unpacked: Dict[str, np.ndarray] = {}
@@ -254,32 +167,3 @@ class BitParallelSimulator:
             last_real = (int(words[-1]) >> (tail_bits - 1)) & 1
             total -= last_real
         return total
-
-    def output_words(self, n_patterns: int, seed: int = 2010
-                     ) -> Dict[str, np.ndarray]:
-        """PO values under the seeded random patterns (for equivalence)."""
-        netlist = self.netlist
-        n_words = (n_patterns + _WORD_BITS - 1) // _WORD_BITS
-        tail_bits = n_patterns - (n_words - 1) * _WORD_BITS
-        tail_mask = (_UINT64_ALL_ONES if tail_bits == _WORD_BITS
-                     else np.uint64((1 << tail_bits) - 1))
-        rng = np.random.default_rng(seed)
-        values: Dict[str, np.ndarray] = {}
-        for name in netlist.pi_names:
-            words = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
-            words[-1] &= tail_mask
-            values[name] = words
-        for gate in netlist.gates:
-            inputs = [values[net] for net in gate.inputs]
-            out = self._evaluate_gate(gate.cell, inputs)
-            out[-1] &= tail_mask
-            values[gate.output] = out
-        outputs: Dict[str, np.ndarray] = {}
-        for name, (kind, value) in netlist.po_bindings:
-            if kind == "const":
-                word = _UINT64_ALL_ONES if value else np.uint64(0)
-                outputs[name] = np.full(n_words, word, dtype=np.uint64)
-                outputs[name][-1] &= tail_mask
-            else:
-                outputs[name] = values[value]
-        return outputs

@@ -51,7 +51,7 @@ from repro.power.patterns import (
     stage_vector_groups,
 )
 from repro.sim.activity import netlist_activity_key, simulation_stats
-from repro.sim.bitsim import SimulationStats
+from repro.sim.arraysim import SimulationStats
 from repro.synth.netlist import MappedNetlist
 from repro.timing import timing_report
 
@@ -350,8 +350,8 @@ def estimate_circuit_power(netlist: MappedNetlist,
                            n_patterns: int = 640_000,
                            seed: int = 2010,
                            state_patterns: Optional[int] = None,
-                           stats: Optional[SimulationStats] = None,
-                           kernel: str = "auto") -> CircuitPowerReport:
+                           stats: Optional[SimulationStats] = None
+                           ) -> CircuitPowerReport:
     """Estimate the power of a mapped circuit (one Table 1 cell).
 
     Activity comes from :func:`repro.sim.activity.simulation_stats`
@@ -369,15 +369,12 @@ def estimate_circuit_power(netlist: MappedNetlist,
             than activity).
         stats: pre-computed simulation statistics (skips simulation
             and the activity cache).
-        kernel: bitsim kernel policy (``"auto"``/``"gate"``/
-            ``"array"``; execution only — results are bit-identical).
     """
     library = netlist.library
     if params is None:
         params = PowerParameters(vdd=library.tech.vdd)
     if stats is None:
-        stats = simulation_stats(netlist, n_patterns, seed, state_patterns,
-                                 kernel=kernel)
+        stats = simulation_stats(netlist, n_patterns, seed, state_patterns)
     return PricingModel.for_netlist(netlist).bind(stats).report(params)
 
 

@@ -144,8 +144,7 @@ def run_sweep_group(tasks: Sequence[SweepTask]) -> Dict[str, Any]:
     for subtasks in subgroups.values():
         base = netlists[subtasks[0].config.vdd]
         stats = simulation_stats(base, config.n_patterns, config.seed,
-                                 config.state_patterns,
-                                 kernel=config.sim_kernel)
+                                 config.state_patterns)
         points = [task.config.power_parameters for task in subtasks]
         reports = estimate_many(base, stats, points, netlists=netlists)
         for task, report in zip(subtasks, reports):

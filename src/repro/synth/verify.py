@@ -6,7 +6,7 @@ module provides the checkers the test-suite and cautious users rely on:
 * :func:`equivalent_aigs` — random-vector comparison with an exhaustive
   fallback for small input counts;
 * :func:`netlist_matches_aig` — mapped netlist vs its subject graph,
-  using the bit-parallel simulator on both sides;
+  bit-parallel on both sides (the simulation kernel for the netlist);
 * :func:`miter` — builds the classic miter AIG (single output, 1 iff
   the two circuits disagree), useful for export to external SAT tools.
 """
@@ -96,7 +96,7 @@ def netlist_matches_aig(netlist: MappedNetlist, aig: Aig,
         raise SynthesisError("PI name mismatch between netlist and AIG")
     if netlist.po_names != aig.po_names:
         raise SynthesisError("PO name mismatch between netlist and AIG")
-    from repro.sim.bitsim import BitParallelSimulator
+    from repro.sim.arraysim import ArraySimulator, random_pi_words
 
     n = aig.n_pis
     if n_patterns is None:
@@ -104,49 +104,22 @@ def netlist_matches_aig(netlist: MappedNetlist, aig: Aig,
 
     if n <= EXHAUSTIVE_LIMIT and n_patterns >= (1 << n):
         # exhaustive: drive the netlist with counting patterns
-        width = 1 << n
-        aig_words = []
+        n_patterns = 1 << n
+        pi_words = np.zeros((n, (n_patterns + 63) // 64), dtype=np.uint64)
         for var in range(n):
             word = 0
-            for minterm in range(width):
+            for minterm in range(n_patterns):
                 if (minterm >> var) & 1:
                     word |= 1 << minterm
-            aig_words.append(word)
-        expected = dict(zip(aig.po_names, aig.simulate(aig_words, width)))
-        state = {}
-        for name, word in zip(netlist.pi_names, aig_words):
-            state[name] = _int_to_words(word, width)
-        simulator = BitParallelSimulator(netlist)
-        for gate in netlist.gates:
-            state[gate.output] = simulator._evaluate_gate(
-                gate.cell, [state[net] for net in gate.inputs])
-        for po_name, (kind, value) in netlist.po_bindings:
-            if kind == "const":
-                got = -1 if value else 0
-                got &= (1 << width) - 1
-            else:
-                got = _words_to_int(state[value], width)
-            if got != expected[po_name]:
-                return False
-        return True
-
-    simulator = BitParallelSimulator(netlist)
-    netlist_words = simulator.output_words(n_patterns, seed)
-    rng = np.random.default_rng(seed)
-    n_words = (n_patterns + 63) // 64
-    tail = n_patterns - (n_words - 1) * 64
-    mask = np.uint64((1 << tail) - 1) if tail < 64 else np.uint64(2**64 - 1)
-    aig_words = []
-    for _ in range(n):
-        w = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
-        w[-1] &= mask
-        aig_words.append(_words_to_int(w, n_patterns))
+            pi_words[var] = _int_to_words(word, n_patterns)
+    else:
+        pi_words = random_pi_words(n, n_patterns, seed)
+    aig_words = [_words_to_int(words, n_patterns) for words in pi_words]
     expected = aig.simulate(aig_words, n_patterns)
-    for po_name, value in zip(aig.po_names, expected):
-        got = _words_to_int(netlist_words[po_name], n_patterns)
-        if got != value:
-            return False
-    return True
+    netlist_words = ArraySimulator(netlist).output_words(pi_words,
+                                                         n_patterns)
+    return all(_words_to_int(netlist_words[po_name], n_patterns) == value
+               for po_name, value in zip(aig.po_names, expected))
 
 
 def _int_to_words(value: int, width: int) -> np.ndarray:

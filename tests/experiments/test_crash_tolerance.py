@@ -10,6 +10,8 @@ pool.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -108,3 +110,34 @@ class TestCrashRetry:
 
 def _raiser(item):
     raise ValueError("task bug, not a crash")
+
+
+def _double(value):
+    return 2 * value
+
+
+class _BreaksOnSecondSubmit(ProcessPoolExecutor):
+    """A pool that finds itself broken at its second ``submit``, as when
+    a worker dies between two submissions."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        if self.submits == 2:
+            raise BrokenProcessPool("a worker died between submissions")
+        return super().submit(*args, **kwargs)
+
+
+class TestBrokenSubmit:
+    def test_broken_submit_is_a_crashed_round(self, monkeypatch):
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor",
+                            _BreaksOnSecondSubmit)
+        retried = []
+        result = parallel_map_stream(_double, [1, 2, 3, 4], jobs=2,
+                                     on_retry=retried.append)
+        assert result == [2, 4, 6, 8]
+        # Chunks that were never submitted are retried, not suspected.
+        assert retried == []

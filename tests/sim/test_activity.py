@@ -8,7 +8,8 @@ from repro import obs
 from repro.circuits.adders import ripple_adder_circuit
 from repro.experiments.config import ExperimentConfig
 from repro.sim import activity
-from repro.sim.bitsim import BitParallelSimulator, SimulationStats
+from repro.sim.arraysim import SimulationStats
+from repro.sim.bitsim import BitParallelSimulator
 from repro.synth.mapper import map_aig
 
 

@@ -1,12 +1,14 @@
-"""The levelized array kernel: bit-identity with the per-gate path,
-levelization structure, kernel selection and metering.
+"""The simulation kernel: bit-identity with the per-gate reference,
+pattern windows, levelization structure and metering.
 
-The array kernel is pure performance policy — every test here reduces
-to "same bits as :class:`BitParallelSimulator`" plus structural
-invariants of the levelized schedule.
+Every identity test here reduces to "same bits as
+:class:`BitParallelSimulator`"; the rest are structural invariants of
+the levelized schedule.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,17 +17,13 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.circuits.families import random_mapped_netlist
-from repro.errors import ExperimentError, SimulationError
-from repro.experiments.config import SIM_KERNELS, ExperimentConfig
+from repro.errors import SimulationError
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.flow import map_subject, synthesized_benchmark
-from repro.registry import cached_library, paper_benchmarks
+from repro.registry import paper_benchmarks
+from repro.sim import activity, arraysim
 from repro.sim.arraysim import ArraySimulator, LevelizedNetlist, levelized
 from repro.sim.bitsim import BitParallelSimulator
-from repro.sim.kernels import (
-    AUTO_ARRAY_THRESHOLD,
-    run_simulation,
-    select_kernel,
-)
 
 
 def assert_bit_identical(gate_stats, array_stats):
@@ -149,54 +147,61 @@ class TestLevelizedNetlist:
         assert_bit_identical(gate_stats, array_stats)
 
 
-class TestKernelSelection:
-    """The ``sim_kernel`` policy knob and its metering."""
+class TestPatternWindows:
+    """Streaming the pattern axis must not change a single bit."""
 
-    def test_forced_kernels(self):
-        assert select_kernel("gate", 10**6) == "gate"
-        assert select_kernel("array", 1) == "array"
+    @settings(max_examples=30, deadline=None)
+    @given(window=st.integers(min_value=1, max_value=4),
+           gates=st.integers(min_value=1, max_value=60),
+           netlist_seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n_patterns=st.integers(min_value=1, max_value=1200),
+           state_patterns=st.one_of(
+               st.none(), st.just(0),
+               st.integers(min_value=1, max_value=1300)))
+    def test_property_small_windows(self, mlib, window, gates,
+                                    netlist_seed, n_patterns,
+                                    state_patterns):
+        """Windows of 1-4 words: toggles cross many window boundaries
+        and the state sample ends anywhere inside or past a window."""
+        netlist = random_mapped_netlist(mlib, gates=gates,
+                                        seed=netlist_seed, inputs=8)
+        sim_seed = netlist_seed ^ 0x5EED
+        reference = BitParallelSimulator(netlist).run(
+            n_patterns, seed=sim_seed, state_patterns=state_patterns)
+        with mock.patch.object(arraysim, "WINDOW_WORDS", window):
+            windowed = ArraySimulator(netlist).run(
+                n_patterns, seed=sim_seed, state_patterns=state_patterns)
+        assert_bit_identical(reference, windowed)
 
-    def test_auto_threshold(self):
-        assert select_kernel("auto", AUTO_ARRAY_THRESHOLD - 1) == "gate"
-        assert select_kernel("auto", AUTO_ARRAY_THRESHOLD) == "array"
+    def test_window_boundaries_on_a_paper_benchmark(self, mlib):
+        netlist = map_subject(synthesized_benchmark("C1355", False), mlib,
+                              ExperimentConfig(synthesize=False))
+        reference = BitParallelSimulator(netlist).run(1000, 3, 700)
+        with mock.patch.object(arraysim, "WINDOW_WORDS", 3):
+            windowed = ArraySimulator(netlist).run(1000, 3, 700)
+        assert_bit_identical(reference, windowed)
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SimulationError, match="unknown sim kernel"):
-            select_kernel("simd", 100)
+    def test_output_words_are_window_independent(self, mlib):
+        netlist = random_mapped_netlist(mlib, gates=80, seed=4)
+        pi_words = arraysim.random_pi_words(len(netlist.pi_names), 700, 5)
+        whole = ArraySimulator(netlist).output_words(pi_words, 700)
+        with mock.patch.object(arraysim, "WINDOW_WORDS", 2):
+            windowed = ArraySimulator(netlist).output_words(pi_words, 700)
+        assert set(whole) == set(netlist.po_names)
+        for name, words in whole.items():
+            assert np.array_equal(windowed[name], words)
 
-    def test_run_simulation_meters_each_kernel(self, mlib):
+
+class TestMetering:
+    def test_simulation_stats_meters_the_kernel(self, mlib):
         netlist = random_mapped_netlist(mlib, gates=40, seed=3)
+        activity.LADDER.lru.clear()
         before = obs.snapshot()
-        gate_stats = run_simulation(netlist, 64, kernel="gate")
-        array_stats = run_simulation(netlist, 64, kernel="array")
-        auto_stats = run_simulation(netlist, 64, kernel="auto")
-        assert_bit_identical(gate_stats, array_stats)
-        assert_bit_identical(gate_stats, auto_stats)
+        stats = activity.simulation_stats(netlist, 64)
+        activity.simulation_stats(netlist, 64)  # LRU hit: not metered
         counters = obs.diff(before)
-        # auto resolves to the gate kernel below the threshold
-        assert counters["sim.kernel.gate.simulations"] == 2
-        assert counters["sim.kernel.array.simulations"] == 1
-        evals = netlist.gate_count * 64
-        assert counters["sim.kernel.gate.gate_evals"] == 2 * evals
-        assert counters["sim.kernel.array.gate_evals"] == evals
-        assert counters["sim.kernel.array.elapsed_s"] > 0.0
-
-    def test_config_validates_kernel(self):
-        for kernel in SIM_KERNELS:
-            assert ExperimentConfig(sim_kernel=kernel).sim_kernel == kernel
-        with pytest.raises(ExperimentError, match="sim_kernel"):
-            ExperimentConfig(sim_kernel="simd")
-
-    def test_kernel_serialized_but_not_keyed(self):
-        config = ExperimentConfig(n_patterns=128, sim_kernel="array")
-        payload = config.to_dict()
-        assert payload["sim_kernel"] == "array"
-        assert ExperimentConfig.from_dict(payload) == config
-        assert "sim_kernel" not in config.key_dict()
-        assert config.key_dict() == ExperimentConfig(
-            n_patterns=128, sim_kernel="gate").key_dict()
-
-    def test_cached_library_independent_of_kernel(self):
-        # keys aside, the *libraries* must be byte-identical objects so
-        # kernels share characterization work within a process
-        assert cached_library("cmos") is cached_library("cmos")
+        assert counters["activity.computes"] == 1
+        assert counters["sim.gate_evals"] == netlist.gate_count * 64
+        assert counters["sim.elapsed_s"] > 0.0
+        assert_bit_identical(BitParallelSimulator(netlist).run(64), stats)
+        activity.LADDER.lru.clear()

@@ -130,15 +130,6 @@ class TestRegistryCommands:
         assert _circuit_values("t481") == ("t481",)
         assert _circuit_values("") == ()
 
-    def test_sim_kernel_flag_reaches_the_config(self):
-        from repro.cli import _config_from_flags, build_parser
-
-        args = build_parser().parse_args(
-            ["serve", "--sim-kernel", "array", "--patterns", "2048"])
-        config = _config_from_flags(args)
-        assert config.sim_kernel == "array"
-        assert config.n_patterns == 2048
-
     def test_circuits_lists_registrations(self, capsys):
         assert main(["circuits"]) == 0
         out = capsys.readouterr().out

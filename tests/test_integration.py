@@ -10,7 +10,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.flow import run_circuit_flow
 from repro.registry import paper_libraries
 from repro.gates.genlib import parse_genlib, write_genlib
-from repro.sim.bitsim import BitParallelSimulator
+from repro.sim.arraysim import ArraySimulator, random_pi_words
 from repro.synth.mapper import map_aig
 from repro.synth.scripts import resyn2rs
 from repro.units import engineering, to_attofarads, to_picoseconds
@@ -25,7 +25,8 @@ class TestFullPipeline:
         for library in paper_libraries().values():
             netlist = map_aig(optimized, library)
             netlist.validate()
-            words = BitParallelSimulator(netlist).output_words(512, seed=99)
+            pi_words = random_pi_words(len(netlist.pi_names), 512, 99)
+            words = ArraySimulator(netlist).output_words(pi_words, 512)
             reference = _aig_output_words(optimized, 512, seed=99)
             for name in optimized.po_names:
                 assert (words[name] == reference[name]).all(), (
