@@ -1,6 +1,6 @@
-"""Library foundry benchmark: bulk build wall-time and hydration speed.
+"""Library foundry benchmark: bulk build wall-time and cold-start speed.
 
-Measures what the foundry's prebuilt artifacts buy:
+Measures what a store built by the foundry buys:
 
 * **build** — cold bulk characterization of every registered library
   across the vdd points, serial vs ``--jobs 0`` (each into its own
@@ -8,12 +8,12 @@ Measures what the foundry's prebuilt artifacts buy:
   host the pool degenerates to one worker; ``jobs_effective`` and
   ``degenerate_parallel`` record that honestly instead of faking a
   speedup;
-* **per-library** — from-scratch live characterization
-  (``build_artifact(reuse_tables=False)``) vs hydrating the same
-  (library, vdd) from its stored artifact (``load_library``, best of
-  three).  The tracked guarantee: aggregate hydration is **>= 20x**
-  faster than aggregate live characterization — a server cold-starting
-  from artifacts must be effectively free.
+* **per-library** — a from-scratch ``_LeakageTables`` build vs a cold
+  start from the store (a fresh ``build_library`` plus its tables read
+  from the ``leakage`` ladder entry, best of three).  The tracked
+  guarantee: the aggregate cold start is **>= 20x** faster than
+  aggregate live characterization and solves nothing in SPICE — a
+  server starting on a built store must be effectively free.
 
 Results merge into ``BENCH_perf.json`` under the ``"foundry"`` key.
 
@@ -76,8 +76,9 @@ def bench_build(base: str, libraries, vdds, jobs: int) -> dict:
     }
 
 
-def bench_hydration(base: str, libraries, vdd) -> dict:
-    from repro import foundry
+def bench_cold_start(base: str, libraries, vdd) -> dict:
+    from repro import obs, registry
+    from repro.sim.estimator import _LEAKAGE_LADDER, _LeakageTables
 
     store = _fresh_store(base, "serial")  # built by bench_build
     per_library = {}
@@ -85,41 +86,44 @@ def bench_hydration(base: str, libraries, vdd) -> dict:
     total_load = 0.0
     for key in libraries:
         start = time.perf_counter()
-        artifact = foundry.build_artifact(key, vdd, reuse_tables=False)
+        live = _LeakageTables(registry.build_library(key, vdd))
         live_s = time.perf_counter() - start
 
-        load_s = min(_timed_load(foundry, key, vdd, store)
-                     for _ in range(3))
-        stored = foundry.load_artifact(key, vdd, store)
-        assert stored is not None, f"no stored artifact for {key}"
-        assert stored.content_hash == artifact.content_hash, \
-            f"{key}: live rebuild diverged from stored artifact"
+        before = obs.snapshot()
+        load_s = min(_timed_cold_start(key, vdd, store) for _ in range(3))
+        assert obs.diff(before)["spice.solves"] == 0, \
+            f"{key}: a cold start from the store solved in SPICE"
+        stored = _LeakageTables.for_library(
+            registry.build_library(key, vdd), store)
+        assert _LEAKAGE_LADDER.encode(stored) == _LEAKAGE_LADDER.encode(
+            live), f"{key}: live rebuild diverged from the stored entry"
         total_live += live_s
         total_load += load_s
         per_library[key] = {
             "live_characterize_s": live_s,
-            "artifact_load_s": load_s,
+            "cold_start_s": load_s,
             "speedup": live_s / load_s if load_s > 0 else float("inf"),
         }
     aggregate = total_live / total_load if total_load > 0 else float("inf")
     assert aggregate >= 20.0, (
-        f"artifact hydration only {aggregate:.1f}x faster than live "
-        f"characterization (need >= 20x)")
+        f"a cold start from the store is only {aggregate:.1f}x faster "
+        f"than live characterization (need >= 20x)")
     return {
         "vdd": vdd,
         "per_library": per_library,
         "aggregate_live_s": total_live,
-        "aggregate_load_s": total_load,
+        "aggregate_cold_start_s": total_load,
         "aggregate_speedup": aggregate,
     }
 
 
-def _timed_load(foundry, key: str, vdd, store) -> float:
+def _timed_cold_start(key: str, vdd, store) -> float:
+    from repro import registry
+    from repro.sim.estimator import _LeakageTables
+
     start = time.perf_counter()
-    library = foundry.load_library(key, vdd, store)
-    elapsed = time.perf_counter() - start
-    assert library is not None, f"hydration miss for {key} @ {vdd}"
-    return elapsed
+    _LeakageTables.for_library(registry.build_library(key, vdd), store)
+    return time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -146,7 +150,7 @@ def main(argv=None) -> int:
             "libraries": libraries,
             "vdd_points": list(vdds),
             "build": bench_build(base, libraries, vdds, args.jobs),
-            "hydration": bench_hydration(base, libraries, vdds[-1]),
+            "cold_start": bench_cold_start(base, libraries, vdds[-1]),
         }
 
     output = Path(args.output)

@@ -44,7 +44,6 @@ SEED_REFERENCE = {
     "table1_serial_16k_patterns_s": 56.5,
     "expand_per_call_us": 12.0,
     "cut_enumeration_c3540_cold_s": 0.33,
-    "characterize_cmos_warm_s": None,  # seed had no persistent cache
 }
 
 
@@ -129,35 +128,16 @@ def bench_map_and_sim(circuit: str, n_patterns: int) -> dict:
 
 
 def bench_characterization() -> dict:
-    """Library characterization, cold vs warm persistent cache."""
-    import tempfile
-
-    from repro.cache import DiskCache
+    """Library characterization from scratch (the Fig. 5 flow)."""
     from repro.gates.conventional import cmos_library
     from repro.power.characterize import characterize_library
     from repro.power.pattern_sim import PatternSimulator
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = DiskCache(root=Path(tmp), enabled=True)
-
-        def cold():
-            library = cmos_library()
-            simulator = PatternSimulator(library.tech, disk_cache=cache)
-            characterize_library(library, simulator=simulator)
-            return simulator
-
-        def warm():
-            library = cmos_library()
-            simulator = PatternSimulator(library.tech, disk_cache=cache)
-            characterize_library(library, simulator=simulator)
-            return simulator
-
-        start = time.perf_counter()
-        cold_sim = cold()
-        cold_time = time.perf_counter() - start
-        start = time.perf_counter()
-        warm_sim = warm()
-        warm_time = time.perf_counter() - start
+    start = time.perf_counter()
+    library = cmos_library()
+    simulator = PatternSimulator(library.tech)
+    characterize_library(library, simulator=simulator)
+    cold_time = time.perf_counter() - start
 
     # The estimator's pattern-classified leakage tables (the batched
     # per-cell cold build; direct construction bypasses every cache).
@@ -174,9 +154,7 @@ def bench_characterization() -> dict:
                                                     - start)
 
     return {"characterize_cmos_cold_s": cold_time,
-            "characterize_cmos_warm_s": warm_time,
-            "cold_spice_solves": cold_sim.solves,
-            "warm_spice_solves": warm_sim.solves,
+            "cold_spice_solves": simulator.solves,
             **leakage}
 
 

@@ -1,7 +1,7 @@
 """Persistent on-disk characterization cache.
 
-SPICE-derived characterization data (pattern DC solutions, per-library
-leakage tables) and simulation statistics are identical for identical
+SPICE-derived characterization data (per-library leakage tables),
+timing reports and simulation statistics are identical for identical
 inputs, so they are cached on disk keyed by a *stable content hash*:
 change any field of :class:`~repro.devices.parameters.TechnologyParams`
 (or a cell definition, a netlist, a pattern budget) and the key
@@ -504,10 +504,7 @@ class Ladder:
         computed = []
 
         def probe() -> Optional[Any]:
-            try:
-                return self.decode(disk.get(self.namespace, key), subject)
-            except (TypeError, ValueError, KeyError):
-                return None
+            return self.stored(key, subject, disk)
 
         def produce() -> Any:
             computed.append(compute())
@@ -522,3 +519,15 @@ class Ladder:
             obs.count(self.namespace + ".disk_hits")
         self.lru.put(key, value)
         return value
+
+    def stored(self, key: str, subject: Any,
+               disk: DiskCache) -> Optional[Any]:
+        """The disk tier's value under ``key``, decoded for ``subject``.
+
+        ``None`` when the entry is absent or does not fit; nothing is
+        counted or computed.
+        """
+        try:
+            return self.decode(disk.get(self.namespace, key), subject)
+        except (TypeError, ValueError, KeyError):
+            return None

@@ -1088,7 +1088,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     foundry = sub.add_parser(
         "foundry",
-        help="build, inspect and verify prebuilt library artifacts")
+        help="build, inspect and verify library characterizations")
     foundry_sub = foundry.add_subparsers(dest="foundry_command",
                                          required=True)
 
@@ -1108,13 +1108,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      "REPRO_CACHE_DIR cache)")
 
     fbuild = foundry_sub.add_parser(
-        "build", help="characterize libraries into versioned artifacts")
+        "build", help="characterize libraries into indexed leakage entries")
     _foundry_common(fbuild)
     fbuild.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (0 = all CPUs); every "
-                             "saved artifact is a resume checkpoint")
+                             "stored entry is a resume checkpoint")
     fbuild.add_argument("--force", action="store_true",
-                        help="rebuild even when a valid artifact exists")
+                        help="recompute even when a valid entry is stored")
     fbuild.set_defaults(func=_cmd_foundry_build)
 
     flist = foundry_sub.add_parser(
@@ -1135,8 +1135,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fexport = foundry_sub.add_parser(
         "export",
-        help="copy artifacts into a standalone store directory "
-             "(usable as REPRO_CACHE_DIR)")
+        help="copy indexed leakage entries into a standalone store "
+             "directory (usable as REPRO_CACHE_DIR)")
     fexport.add_argument("target", metavar="DIR")
     _foundry_common(fexport)
     fexport.set_defaults(func=_cmd_foundry_export)

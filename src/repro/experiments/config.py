@@ -19,12 +19,22 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict
 
+import numpy as np
+
 from repro.errors import ExperimentError
 from repro.power.model import PowerParameters
 
 #: The class default of ``state_patterns`` (leakage-state histogram
 #: budget); :meth:`ExperimentConfig.scaled` re-derives clamps from it.
 DEFAULT_STATE_PATTERNS = 65_536
+
+#: What each declared field type accepts, and its name in errors.
+#: ``bool`` is an ``int`` to Python but never a number here.  Concrete
+#: types, not the ``numbers`` ABCs: the check runs on every config a
+#: request builds, and ABC checks cost several times more.
+_ACCEPTS = {"float": ((int, float, np.integer, np.floating), "a number"),
+            "int": ((int, np.integer), "an integer"),
+            "bool": (bool, "a boolean"), "str": (str, "a string")}
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,13 @@ class ExperimentConfig:
     backend: str = "bitsim"       # registered estimator backend key
 
     def __post_init__(self) -> None:
+        for name, accepted, expected in _FIELD_CHECKS:
+            value = getattr(self, name)
+            if (not isinstance(value, accepted)
+                    or (isinstance(value, bool) and accepted is not bool)):
+                raise ExperimentError(
+                    f"ExperimentConfig field {name!r} must be "
+                    f"{expected}, got {value!r}")
         if self.n_patterns < 1:
             raise ExperimentError(
                 f"n_patterns must be >= 1, got {self.n_patterns}")
@@ -88,6 +105,10 @@ class ExperimentConfig:
         Absent fields take their defaults, so configs stored before a
         field existed (e.g. ``backend``) load with today's semantics.
         """
+        if not isinstance(data, dict):
+            raise ExperimentError(
+                f"an ExperimentConfig must be a JSON object, got "
+                f"{type(data).__name__}")
         known = {field.name for field in fields(cls)}
         # A removed execution knob that never changed an answer (and
         # never entered a key); older sweep stores and clients send it.
@@ -97,6 +118,10 @@ class ExperimentConfig:
                 f"unknown ExperimentConfig fields: {', '.join(unknown)}")
         return cls(**{name: data[name] for name in known & set(data)})
 
+
+#: (name, accepted types, description) of every field, in order.
+_FIELD_CHECKS = tuple((field.name, *_ACCEPTS[field.type])
+                      for field in fields(ExperimentConfig))
 
 #: The paper's configuration.
 PAPER_CONFIG = ExperimentConfig()

@@ -1,62 +1,54 @@
-"""Library foundry: bulk characterization into versioned artifacts.
+"""Library foundry: bulk characterization into indexed ladder entries.
 
-Registered libraries are characterized on demand — every fresh server
-or sweep worker re-solves the SPICE leakage patterns per (library,
-vdd).  The foundry turns that into a build pipeline with versioned
-outputs:
+A library's only stored characterization is its leakage-table entry in
+the ``leakage`` ladder of :mod:`repro.cache` (``leakage/<key>``, keyed
+by ``_library_content_key``: checksummed, decoded against the library,
+single-flight).  Timing and capacitances are closed-form and rebuilt
+with the library in milliseconds.  The foundry is a build pipeline
+over that ladder:
 
-* :func:`characterize` fans (library, vdd) characterization jobs
-  through :func:`repro.experiments.parallel.parallel_map_stream`
-  (crash-tolerant; every finished artifact is a checkpoint, so a
-  re-run only builds what is missing);
-* each job produces one :class:`LibraryArtifact` — a serializable
-  bundle of the timing, capacitance and leakage tables with a
-  ``stable_hash`` content key, :data:`FOUNDRY_SCHEMA_VERSION`,
-  technology provenance and the builder version — persisted under the
-  ``foundry/`` namespace of :mod:`repro.cache` (checksummed, atomic,
-  corrupt entries quarantined to a clean miss);
-* :func:`load_library` hydrates a :class:`~repro.gates.library.Library`
-  from its artifact **without touching the SPICE solver**, bit-identical
-  to on-demand characterization: the artifact stores exactly what the
-  live path memoizes (``CellTiming`` pairs, per-pin capacitances and
-  the ``_LeakageTables`` arrays), and JSON round-trips floats exactly.
+* :func:`characterize` fans (library, vdd) jobs through
+  :func:`repro.experiments.parallel.parallel_map_stream` (crash-tolerant;
+  every stored entry is a checkpoint, so a re-run builds only what is
+  missing).  A job reads and writes the tables through the ladder, so
+  a foundry build and a cold live worker write the same entry;
+* the parent records one provenance row per (library, vdd) in the
+  ``foundry/index`` entry: the ladder key, the tables hash, the builder
+  version and the cell count.  Listings and the CLI call such an
+  indexed slot an *artifact*;
+* :func:`verify_artifact` recomputes the tables from scratch and
+  compares hashes; :func:`export_store` copies the selected
+  ``leakage/`` entries with their index rows.
 
-``registry.cached_library`` consults :func:`load_library` before
-falling back to the live factory, so Engine, Session and sweep workers
-all gain the prebuilt path for free.  Invalidation is structural, not
-temporal: an artifact is only used when its recorded
-``_library_content_key`` — covering the technology parameters and every
-cell's pins, truth table and stage topology — matches a freshly-built
-library skeleton; any code or parameter drift is a counted miss and a
-live rebuild.
+A process whose store holds the entries answers with zero SPICE solves
+through the ladder's disk tier.  Invalidation is structural: the key
+covers the technology parameters and every cell's pins, truth table
+and stage topology, so any drift is a different key and a live
+characterization.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs, registry
+from repro import registry
 from repro.cache import DiskCache, default_cache, stable_hash
 from repro.errors import ExperimentError
-from repro.gates.library import CellTiming, Library
-from repro.sim.estimator import _LeakageTables, _library_content_key
+from repro.gates.library import Library
+from repro.sim.estimator import (
+    _LEAKAGE_LADDER,
+    _LeakageTables,
+    _library_content_key,
+)
 
-#: Bump on any change to the artifact payload layout; stored artifacts
-#: with a different version are rejected (counted ``stale_schema``).
-FOUNDRY_SCHEMA_VERSION = 1
-
-#: Disk-cache namespace holding artifacts and the store index.
+#: Disk-cache namespace holding the store index.
 FOUNDRY_NAMESPACE = "foundry"
 
-#: Index entry mapping artifact keys to their provenance summaries.
+#: Index entry mapping artifact keys to their provenance rows.
 INDEX_KEY = "index"
-
-_PAYLOAD_FIELDS = ("schema_version", "library", "vdd", "library_key",
-                   "builder_version", "tech", "timing", "pin_caps",
-                   "output_caps", "leakage")
 
 
 def _builder_version() -> str:
@@ -65,247 +57,23 @@ def _builder_version() -> str:
 
 
 def artifact_key(name: str, vdd: Optional[float] = None) -> str:
-    """Content-addressed store key for one (library, vdd) artifact.
-
-    Deliberately the same formula the serving engine uses for its
-    per-library memo; the schema version is *not* part of the key, so a
-    stale-schema artifact is found, rejected and counted rather than
-    silently shadowed by a fresh key.
-    """
+    """Index key of one (library, vdd) slot; aliases share it."""
     key = registry.canonical_library(name)
     return stable_hash({"library": key, "vdd": vdd})
 
 
-#: The artifact outcomes :func:`load_library` counts, as
-#: ``foundry.<name>`` counters of :mod:`repro.obs`.
-FOUNDRY_COUNTERS = ("artifact_hits", "artifact_misses",
-                    "artifact_stale_schema", "artifact_mismatch",
-                    "artifact_invalid")
+def _tables_hash(tables: _LeakageTables) -> str:
+    """Stable hash of the tables' stored form (the ``verify`` identity)."""
+    return stable_hash(_LEAKAGE_LADDER.encode(tables))
 
 
-def _miss(cause: Optional[str] = None) -> None:
-    """Count one artifact miss (and its cause, when it is not absence)."""
-    if cause is not None:
-        obs.count(f"foundry.artifact_{cause}")
-    obs.count("foundry.artifact_misses")
-
-
-# -- the artifact --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LibraryArtifact:
-    """One characterized (library, vdd): everything a hydration needs.
-
-    ``timing`` maps cell -> ``[intrinsic_s, slope_s_per_F]``;
-    ``pin_caps`` maps cell -> pin -> F; ``output_caps`` maps cell -> F;
-    ``leakage`` is the exact ``_LeakageTables`` serialization (per-cell
-    ``i_off``/``i_gate`` arrays over all input vectors).
-    """
-
-    library: str
-    vdd: Optional[float]
-    schema_version: int
-    library_key: str
-    builder_version: str
-    tech: Dict[str, Any]
-    timing: Dict[str, List[float]]
-    pin_caps: Dict[str, Dict[str, float]]
-    output_caps: Dict[str, float]
-    leakage: Dict[str, Dict[str, list]] = field(repr=False)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.timing)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in _PAYLOAD_FIELDS}
-
-    @property
-    def content_hash(self) -> str:
-        """Stable hash of the characterized content.
-
-        Excludes ``builder_version`` (provenance only): a version bump
-        that reproduces identical numbers must not fail ``verify``.
-        """
-        payload = self.to_payload()
-        del payload["builder_version"]
-        return stable_hash(payload)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "LibraryArtifact":
-        """Reconstruct from a stored payload; raises ``ValueError``."""
-        if not isinstance(payload, dict):
-            raise ValueError("artifact payload must be a dict")
-        try:
-            artifact = cls(
-                library=str(payload["library"]),
-                vdd=(None if payload["vdd"] is None
-                     else float(payload["vdd"])),
-                schema_version=int(payload["schema_version"]),
-                library_key=str(payload["library_key"]),
-                builder_version=str(payload["builder_version"]),
-                tech=dict(payload["tech"]),
-                timing={str(k): [float(v[0]), float(v[1])]
-                        for k, v in dict(payload["timing"]).items()},
-                pin_caps={str(k): {str(p): float(c)
-                                   for p, c in dict(v).items()}
-                          for k, v in dict(payload["pin_caps"]).items()},
-                output_caps={str(k): float(v)
-                             for k, v in dict(payload["output_caps"]).items()},
-                leakage=dict(payload["leakage"]))
-        except (KeyError, TypeError, ValueError, IndexError) as error:
-            raise ValueError(f"malformed artifact payload: {error}") from None
-        return artifact
-
-
-# -- building ------------------------------------------------------------------
-
-
-def build_artifact(name: str, vdd: Optional[float] = None, *,
-                   cache: Optional[DiskCache] = None,
-                   reuse_tables: bool = True) -> LibraryArtifact:
-    """Characterize one (library, vdd) into an artifact (live SPICE).
-
-    ``reuse_tables=False`` forces a from-scratch leakage build even
-    when cached tables exist — the honest path for ``verify``.
-    """
-    key = registry.canonical_library(name)
-    library = registry.build_library(key, vdd)
-    if reuse_tables:
-        tables = _LeakageTables.for_library(library,
-                                            cache or default_cache())
-    else:
-        tables = _LeakageTables(library)
-    timing: Dict[str, List[float]] = {}
-    pin_caps: Dict[str, Dict[str, float]] = {}
-    output_caps: Dict[str, float] = {}
-    for cell in library:
-        cell_timing = library.timing(cell.name)
-        timing[cell.name] = [cell_timing.intrinsic, cell_timing.slope]
-        pin_caps[cell.name] = {pin: library.pin_capacitance(cell.name, pin)
-                               for pin in cell.inputs}
-        output_caps[cell.name] = library.output_capacitance(cell.name)
-    tech = {"name": library.tech.name, "vdd": library.tech.vdd,
-            "ambipolar": library.tech.ambipolar,
-            "hash": stable_hash(library.tech)}
-    return LibraryArtifact(
-        library=key, vdd=vdd, schema_version=FOUNDRY_SCHEMA_VERSION,
-        library_key=_library_content_key(library),
-        builder_version=_builder_version(), tech=tech, timing=timing,
-        pin_caps=pin_caps, output_caps=output_caps,
-        leakage=tables._serialize())
-
-
-def _index_entry(artifact: LibraryArtifact) -> Dict[str, Any]:
-    return {"library": artifact.library, "vdd": artifact.vdd,
-            "hash": artifact.content_hash,
-            "schema_version": artifact.schema_version,
-            "builder_version": artifact.builder_version,
-            "cells": artifact.n_cells}
-
-
-def save_artifact(artifact: LibraryArtifact,
-                  cache: Optional[DiskCache] = None) -> str:
-    """Persist an artifact and index it; returns the store key."""
-    cache = cache or default_cache()
-    key = artifact_key(artifact.library, artifact.vdd)
-    stored = artifact.to_payload()
-    stored["hash"] = artifact.content_hash
-    cache.put(FOUNDRY_NAMESPACE, key, stored)
-    cache.merge(FOUNDRY_NAMESPACE, INDEX_KEY, {key: _index_entry(artifact)})
-    return key
-
-
-def _read_artifact(name: str, vdd: Optional[float],
-                   cache: DiskCache) -> Tuple[Optional[LibraryArtifact], str]:
-    """(artifact, status) with no counter side effects.
-
-    Status is one of ``ok | missing | stale_schema | invalid``.
-    Corrupt/truncated files surface here as ``missing`` — the cache
-    layer quarantines them into a clean miss before we ever parse.
-    """
-    stored = cache.get(FOUNDRY_NAMESPACE, artifact_key(name, vdd))
-    if stored is None:
-        return None, "missing"
-    if not isinstance(stored, dict):
-        return None, "invalid"
-    if stored.get("schema_version") != FOUNDRY_SCHEMA_VERSION:
-        return None, "stale_schema"
-    try:
-        return LibraryArtifact.from_payload(stored), "ok"
-    except ValueError:
-        return None, "invalid"
-
-
-def artifact_status(name: str, vdd: Optional[float] = None,
-                    cache: Optional[DiskCache] = None) -> Dict[str, Any]:
-    """Inspect one (library, vdd) slot without touching the counters."""
-    cache = cache or default_cache()
-    artifact, status = _read_artifact(name, vdd, cache)
-    info: Dict[str, Any] = {
-        "library": registry.canonical_library(name), "vdd": vdd,
-        "status": status}
-    if artifact is not None:
-        info.update(hash=artifact.content_hash, cells=artifact.n_cells,
-                    builder_version=artifact.builder_version)
-    return info
-
-
-def load_artifact(name: str, vdd: Optional[float] = None,
-                  cache: Optional[DiskCache] = None
-                  ) -> Optional[LibraryArtifact]:
-    """Load a stored artifact, counting the outcome."""
-    cache = cache or default_cache()
-    artifact, status = _read_artifact(name, vdd, cache)
-    if artifact is None:
-        _miss(None if status == "missing" else status)
-    return artifact
-
-
-def load_library(name: str, vdd: Optional[float] = None,
-                 cache: Optional[DiskCache] = None) -> Optional[Library]:
-    """Hydrate a library from its artifact — zero SPICE solves.
-
-    Returns ``None`` (a counted miss) when no usable artifact exists;
-    the caller falls back to live characterization.  On success the
-    library's timing/pin-capacitance memos and its leakage tables are
-    pre-filled from the artifact, so no later estimator call can reach
-    the pattern simulator.
-    """
-    artifact = load_artifact(name, vdd, cache)
-    if artifact is None:
-        return None
-    library = registry.build_library(name, vdd)
-    if _library_content_key(library) != artifact.library_key:
-        _miss("mismatch")
-        return None
-    try:
-        tables = _LeakageTables._decode(artifact.leakage, library)
-    except (KeyError, TypeError, ValueError):
-        tables = None
-    if tables is None:
-        _miss("invalid")
-        return None
-    for cell in library:
-        pair = artifact.timing.get(cell.name)
-        pins = artifact.pin_caps.get(cell.name)
-        if (pair is None or len(pair) != 2 or pins is None
-                or set(pins) != set(cell.inputs)):
-            _miss("invalid")
-            return None
-    # All-or-nothing hydration: memos are only written once every cell
-    # checked out, so a bad artifact cannot leave a half-primed library.
-    for cell in library:
-        pair = artifact.timing[cell.name]
-        library._timings[cell.name] = CellTiming(
-            intrinsic=float(pair[0]), slope=float(pair[1]))
-        for pin in cell.inputs:
-            library._pin_caps[(cell.name, pin)] = float(
-                artifact.pin_caps[cell.name][pin])
-    _LeakageTables._cache[library] = tables
-    obs.count("foundry.artifact_hits")
-    return library
+def _index_row(key: str, vdd: Optional[float], library: Library,
+               tables: _LeakageTables) -> Dict[str, Any]:
+    return {"library": key, "vdd": vdd,
+            "leakage_key": _library_content_key(library),
+            "hash": _tables_hash(tables),
+            "builder_version": _builder_version(),
+            "cells": len(library)}
 
 
 # -- bulk characterization -----------------------------------------------------
@@ -362,17 +130,23 @@ def _build_worker(task: Tuple[str, Optional[float], str, bool]
                   ) -> Dict[str, Any]:
     """One foundry job, picklable for ``parallel_map_stream`` workers.
 
-    Saving the artifact is the checkpoint: a crashed-and-retried task
-    redoes only its own (library, vdd); completed siblings are skipped
-    by the next run's ``artifact_status`` pre-check.
+    The stored ladder entry is the checkpoint: a crashed-and-retried
+    task redoes only its own (library, vdd), and the next run's
+    pre-check finds completed siblings.  ``force`` recomputes from
+    scratch and overwrites the entry (same key, encoding and atomic
+    checksummed write).
     """
-    key, vdd, root, enabled = task
-    cache = DiskCache(root=Path(root), enabled=enabled)
+    key, vdd, root, force = task
+    cache = DiskCache(root=Path(root), enabled=True)
     start = time.perf_counter()
-    artifact = build_artifact(key, vdd, cache=cache)
-    store_key = save_artifact(artifact, cache)
-    return {"library": key, "vdd": vdd, "artifact_key": store_key,
-            "hash": artifact.content_hash, "n_cells": artifact.n_cells,
+    library = registry.build_library(key, vdd)
+    if force:
+        tables = _LeakageTables(library)
+        cache.put(_LEAKAGE_LADDER.namespace, _library_content_key(library),
+                  _LEAKAGE_LADDER.encode(tables))
+    else:
+        tables = _LeakageTables.for_library(library, cache)
+    return {"row": _index_row(key, vdd, library, tables),
             "elapsed_s": time.perf_counter() - start}
 
 
@@ -380,19 +154,20 @@ def characterize(libraries: Optional[Sequence[str]] = None,
                  vdd_points: Sequence[Optional[float]] = (None,),
                  *, jobs: int = 1, cache: Optional[DiskCache] = None,
                  force: bool = False) -> BuildReport:
-    """Bulk-characterize libraries × vdd points into the artifact store.
+    """Bulk-characterize libraries × vdd points into the store.
 
     Crash-tolerant and resumable: work fans out through
     ``parallel_map_stream`` (same retry/poison discipline as sweeps)
-    and every saved artifact is a checkpoint — a re-run reports those
-    slots as ``cached`` without re-solving anything, unless ``force``.
+    and every stored ladder entry is a checkpoint — a re-run reports
+    those slots as ``cached`` without re-solving anything, unless
+    ``force``.
     """
     from repro.experiments.parallel import parallel_map_stream, resolve_jobs
 
     cache = cache or default_cache()
     if not cache.enabled:
         raise ExperimentError(
-            "the foundry needs a writable artifact store; the cache is "
+            "the foundry needs a writable store; the cache is "
             "disabled (REPRO_CACHE_DISABLE) — nothing would persist")
     if libraries is None:
         libraries = registry.available_libraries()
@@ -404,49 +179,48 @@ def characterize(libraries: Optional[Sequence[str]] = None,
     tasks = [(key, vdd) for key in keys for vdd in vdd_points]
 
     start = time.perf_counter()
+    index = store_index(cache)
     outcomes: Dict[Tuple[str, Optional[float]], BuildOutcome] = {}
+    updates: Dict[str, Any] = {}
     pending: List[Tuple[str, Optional[float], str, bool]] = []
     for key, vdd in tasks:
-        status = artifact_status(key, vdd, cache) if not force else None
-        if status is not None and status["status"] == "ok":
-            outcomes[(key, vdd)] = BuildOutcome(
-                library=key, vdd=vdd, artifact_key=artifact_key(key, vdd),
-                hash=status["hash"], n_cells=status["cells"],
-                elapsed_s=0.0, status="cached")
-        else:
-            pending.append((key, vdd, str(cache.root), cache.enabled))
+        library = registry.build_library(key, vdd)
+        tables = None if force else _LEAKAGE_LADDER.stored(
+            _library_content_key(library), library, cache)
+        if tables is None:
+            pending.append((key, vdd, str(cache.root), force))
+            continue
+        slot = artifact_key(key, vdd)
+        row = _index_row(key, vdd, library, tables)
+        if index.get(slot) != row:
+            # Characterized live, or indexed by another build.
+            updates[slot] = row
+        outcomes[(key, vdd)] = BuildOutcome(
+            library=key, vdd=vdd, artifact_key=slot, hash=row["hash"],
+            n_cells=row["cells"], elapsed_s=0.0, status="cached")
 
-    built: List[Dict[str, Any]] = []
     if pending:
         results = parallel_map_stream(
             _build_worker, pending, jobs=jobs,
             on_poison=lambda item, error: None)
-        for slot, result in zip(pending, results):
-            key, vdd = slot[0], slot[1]
+        for (key, vdd, _, _), result in zip(pending, results):
+            slot = artifact_key(key, vdd)
             if result is None:
                 outcomes[(key, vdd)] = BuildOutcome(
-                    library=key, vdd=vdd,
-                    artifact_key=artifact_key(key, vdd), hash=None,
+                    library=key, vdd=vdd, artifact_key=slot, hash=None,
                     n_cells=0, elapsed_s=0.0, status="failed",
                     detail="worker crashed repeatedly; slot poisoned")
                 continue
-            built.append(result)
+            row = result["row"]
+            updates[slot] = row
             outcomes[(key, vdd)] = BuildOutcome(
-                library=key, vdd=vdd, artifact_key=result["artifact_key"],
-                hash=result["hash"], n_cells=result["n_cells"],
-                elapsed_s=result["elapsed_s"], status="built")
-    if built:
-        # Concurrent workers merge the index independently; a racing
-        # read-modify-write can drop a sibling's entry.  The parent
-        # re-merges every built entry once the pool has drained.
-        updates = {}
-        for result in built:
-            artifact, status = _read_artifact(result["library"],
-                                              result["vdd"], cache)
-            if artifact is not None:
-                updates[result["artifact_key"]] = _index_entry(artifact)
-        if updates:
-            cache.merge(FOUNDRY_NAMESPACE, INDEX_KEY, updates)
+                library=key, vdd=vdd, artifact_key=slot, hash=row["hash"],
+                n_cells=row["cells"], elapsed_s=result["elapsed_s"],
+                status="built")
+    if updates:
+        # Only the parent writes the index, once the pool has drained:
+        # concurrent workers never race a read-modify-write on it.
+        cache.merge(FOUNDRY_NAMESPACE, INDEX_KEY, updates)
 
     return BuildReport(
         outcomes=tuple(outcomes[task] for task in tasks),
@@ -460,23 +234,24 @@ def characterize(libraries: Optional[Sequence[str]] = None,
 
 def verify_artifact(name: str, vdd: Optional[float] = None,
                     cache: Optional[DiskCache] = None) -> Dict[str, Any]:
-    """Re-characterize from scratch and diff against the stored hash."""
+    """Re-characterize from scratch and diff against the stored tables."""
     cache = cache or default_cache()
     key = registry.canonical_library(name)
-    stored, status = _read_artifact(key, vdd, cache)
+    library = registry.build_library(key, vdd)
+    stored = _LEAKAGE_LADDER.stored(_library_content_key(library),
+                                    library, cache)
     if stored is None:
-        return {"library": key, "vdd": vdd, "status": status,
+        return {"library": key, "vdd": vdd, "status": "missing",
                 "stored_hash": None, "rebuilt_hash": None}
-    rebuilt = build_artifact(key, vdd, cache=cache, reuse_tables=False)
-    ok = rebuilt.content_hash == stored.content_hash
+    stored_hash = _tables_hash(stored)
+    rebuilt_hash = _tables_hash(_LeakageTables(library))
     return {"library": key, "vdd": vdd,
-            "status": "ok" if ok else "mismatch",
-            "stored_hash": stored.content_hash,
-            "rebuilt_hash": rebuilt.content_hash}
+            "status": "ok" if stored_hash == rebuilt_hash else "mismatch",
+            "stored_hash": stored_hash, "rebuilt_hash": rebuilt_hash}
 
 
 def store_index(cache: Optional[DiskCache] = None) -> Dict[str, Any]:
-    """The artifact-store index (key -> provenance summary)."""
+    """The store index (artifact key -> provenance row)."""
     cache = cache or default_cache()
     index = cache.get(FOUNDRY_NAMESPACE, INDEX_KEY)
     return index if isinstance(index, dict) else {}
@@ -486,12 +261,12 @@ def export_store(target_dir: str,
                  libraries: Optional[Sequence[str]] = None,
                  vdds: Optional[Sequence[Optional[float]]] = None,
                  cache: Optional[DiskCache] = None) -> int:
-    """Copy selected artifacts into a standalone store directory.
+    """Copy selected ladder entries into a standalone store directory.
 
-    The result is a valid ``REPRO_CACHE_DIR`` containing only the
-    ``foundry/`` namespace — a server pointed at it hydrates every
-    exported library with zero live solves.  Returns the number of
-    artifacts exported.
+    The result is a valid ``REPRO_CACHE_DIR`` holding the selected
+    ``leakage/`` entries and their index rows — a server pointed at it
+    characterizes every exported (library, vdd) with zero live solves.
+    Returns the number of entries exported.
     """
     cache = cache or default_cache()
     target = DiskCache(root=Path(target_dir), enabled=True)
@@ -500,21 +275,21 @@ def export_store(target_dir: str,
         wanted_keys = {registry.canonical_library(name)
                        for name in libraries}
     wanted_vdds = None if vdds is None else set(vdds)
-    exported = 0
+    namespace = _LEAKAGE_LADDER.namespace
     index: Dict[str, Any] = {}
-    for key, entry in sorted(store_index(cache).items()):
-        if wanted_keys is not None and entry.get("library") not in wanted_keys:
+    for slot, row in sorted(store_index(cache).items()):
+        if wanted_keys is not None and row.get("library") not in wanted_keys:
             continue
-        if wanted_vdds is not None and entry.get("vdd") not in wanted_vdds:
+        if wanted_vdds is not None and row.get("vdd") not in wanted_vdds:
             continue
-        stored = cache.get(FOUNDRY_NAMESPACE, key)
+        ladder_key = str(row.get("leakage_key"))
+        stored = cache.get(namespace, ladder_key)
         if stored is None:
             continue
-        target.put(FOUNDRY_NAMESPACE, key, stored)
-        index[key] = entry
-        exported += 1
+        target.put(namespace, ladder_key, stored)
+        index[slot] = row
     target.put(FOUNDRY_NAMESPACE, INDEX_KEY, index)
-    return exported
+    return len(index)
 
 
 # -- listings (shared by /v1/libraries and the CLI) ----------------------------
@@ -542,7 +317,6 @@ def library_listing(cache: Optional[DiskCache] = None) -> List[Dict[str, Any]]:
             "key": key,
             "aliases": list(entry.aliases),
             "description": entry.description,
-            "prebuilt": entry.artifact,
             "artifacts": artifacts,
             "characterized_vdds": [a.get("vdd") for a in artifacts],
             "hot_vdds": registry.cached_library_vdds(key),
@@ -574,11 +348,9 @@ def format_library_listing(rows: Sequence[Dict[str, Any]], *,
                     lines.append(
                         f"      vdd={_format_vdd(summary.get('vdd'))} "
                         f"hash={summary.get('hash')} "
-                        f"schema=v{summary.get('schema_version')} "
                         f"builder={summary.get('builder_version')} "
-                        f"cells={summary.get('cells')}")
-        elif not row.get("prebuilt", True):
-            lines.append("    artifacts: disabled (live-only registration)")
+                        f"cells={summary.get('cells')} "
+                        f"leakage/{summary.get('leakage_key')}")
         else:
             lines.append("    artifacts: none (live characterization)")
         if row.get("hot_vdds"):

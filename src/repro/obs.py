@@ -1,10 +1,10 @@
 """The process-wide counter registry.
 
 Every layer counts its work here under a dotted name: the caches
-(``activity.hits``, ``timing.computes``, ...), the disk tier
-(``disk.quarantined``, ``disk.flight_leader``, ...), the simulation
-kernel (``sim.gate_evals``, ``sim.elapsed_s``), the foundry
-(``foundry.artifact_hits``) and the SPICE solver (``spice.solves``).
+(``activity.hits``, ``timing.computes``, ``leakage.disk_hits``, ...),
+the disk tier (``disk.quarantined``, ``disk.flight_leader``, ...), the
+simulation kernel (``sim.gate_evals``, ``sim.elapsed_s``) and the
+SPICE solver (``spice.solves``).
 
 Counters only grow; there is deliberately no reset.  A reader takes a
 :func:`snapshot` and later reports the :func:`diff` against it — the

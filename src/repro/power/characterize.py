@@ -3,8 +3,9 @@
 For every cell:
 
 * the gate topology analyzer (:mod:`repro.power.patterns`) maps each
-  input vector to its off-current patterns and computes the activity
-  factor;
+  input vector to its off-current patterns — one walk over the
+  vectors, :func:`~repro.power.vector_report.cell_leakage_report` — and
+  computes the activity factor;
 * the pattern simulator quantifies each distinct pattern once;
 * static power is the supply times the input-vector average of the
   summed pattern currents; gate-leakage power uses the on-device counts
@@ -31,7 +32,7 @@ from repro.power.model import (
     static_power,
 )
 from repro.power.pattern_sim import PatternSimulator
-from repro.power.patterns import count_on_devices, stage_patterns
+from repro.power.vector_report import cell_leakage_report
 
 
 @dataclass(frozen=True)
@@ -102,22 +103,9 @@ def characterize_cell(cell: Cell, library: Library,
                       typical_input_cap: Optional[float] = None
                       ) -> CellPowerReport:
     """Characterize one cell (see module docstring for the model)."""
-    tech = library.tech
     if typical_input_cap is None:
         typical_input_cap = _inverter_input_capacitance(library)
-    n_vectors = 1 << cell.n_inputs
-
-    total_i_off = 0.0
-    total_on_devices = 0
-    seen_patterns = set()
-    for minterm in range(n_vectors):
-        values = tuple(bool((minterm >> i) & 1) for i in range(cell.n_inputs))
-        for pattern in stage_patterns(cell, values):
-            total_i_off += simulator.off_current(pattern)
-            seen_patterns.add(pattern.key)
-        total_on_devices += count_on_devices(cell, values)
-    mean_i_off = total_i_off / n_vectors
-    mean_i_gate = (total_on_devices / n_vectors) * tech.nmos.ig_on
+    leakage = cell_leakage_report(cell, library, simulator)
 
     load = (library.output_capacitance(cell.name)
             + params.fanout * typical_input_cap)
@@ -126,8 +114,8 @@ def characterize_cell(cell: Cell, library: Library,
     power = PowerBreakdown(
         dynamic=p_dynamic,
         short_circuit=short_circuit_power(p_dynamic),
-        static=static_power(mean_i_off, params),
-        gate_leak=gate_leakage_power(mean_i_gate, params),
+        static=static_power(leakage.mean_i_off, params),
+        gate_leak=gate_leakage_power(leakage.mean_i_gate, params),
     )
     return CellPowerReport(
         cell=cell.name,
@@ -136,10 +124,11 @@ def characterize_cell(cell: Cell, library: Library,
         activity=activity,
         input_capacitance=library.average_pin_capacitance(cell.name),
         load_capacitance=load,
-        mean_i_off=mean_i_off,
-        mean_i_gate=mean_i_gate,
+        mean_i_off=leakage.mean_i_off,
+        mean_i_gate=leakage.mean_i_gate,
         power=power,
-        distinct_patterns=len(seen_patterns),
+        distinct_patterns=len({key for row in leakage.rows
+                               for key in row.pattern_keys}),
     )
 
 

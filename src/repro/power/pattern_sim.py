@@ -8,44 +8,30 @@ float to their self-consistent potentials, which is precisely what
 produces the stack effect (series patterns leak far less than parallel
 ones, Fig. 4).
 
-Results are cached at two levels:
-
-* in memory per (pattern, technology): the whole 46-cell library needs
-  only a few dozen operating points instead of one per (cell, input
-  vector) pair — the computational payoff of the paper's classification
-  method;
-* on disk via :mod:`repro.cache`, keyed by a stable hash of the
-  :class:`~repro.devices.parameters.TechnologyParams`, so repeat runs
-  and worker processes skip every previously-solved operating point.
-  Entries invalidate automatically when any technology parameter
-  changes (the key changes with it).  Set ``REPRO_CACHE_DISABLE=1`` or
-  pass ``disk_cache=None`` explicitly to opt out.
+Results are memoized per simulator, i.e. per (pattern, technology):
+the whole 46-cell library needs only a few dozen operating points
+instead of one per (cell, input vector) pair — the computational
+payoff of the paper's classification method.  Nothing is stored on
+disk here; the persisted form of a characterization is the library's
+leakage-table entry (``_LeakageTables.for_library``).
 
 ``solves`` counts actual SPICE solutions; ``cache_size`` and
-``pattern_keys`` describe only the patterns *requested from this
-simulator*, regardless of whether the answer came from SPICE or disk —
-so characterization reports stay meaningful on a warm cache.  Every
-solve of any simulator also counts ``spice.solves`` in
-:mod:`repro.obs`: the foundry's zero-live-solves guarantee is asserted
-against it.
+``pattern_keys`` describe the distinct patterns requested from this
+simulator.  Every solve of any simulator also counts ``spice.solves``
+in :mod:`repro.obs`: the zero-live-solves guarantee of a prebuilt
+store is asserted against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro import obs
-from repro.cache import DiskCache, default_cache, stable_hash
 from repro.devices.parameters import TechnologyParams
 from repro.power.patterns import DEVICE, LeakagePattern, PatternTree
 from repro.spice.dc import operating_point
 from repro.spice.netlist import Circuit, GROUND
-
-_SENTINEL = object()
-
-#: Disk-cache namespace for pattern DC solutions.
-PATTERN_NAMESPACE = "patterns"
 
 
 @dataclass(frozen=True)
@@ -59,25 +45,10 @@ class PatternCurrents:
 class PatternSimulator:
     """Evaluates and caches pattern leakage for one technology."""
 
-    def __init__(self, tech: TechnologyParams,
-                 disk_cache: object = _SENTINEL):
+    def __init__(self, tech: TechnologyParams):
         self.tech = tech
         self._cache: Dict[str, PatternCurrents] = {}
         self._solves = 0
-        self._disk: Optional[DiskCache] = (
-            default_cache() if disk_cache is _SENTINEL else disk_cache)
-        self._tech_key = stable_hash(tech)
-        self._persistent: Dict[str, PatternCurrents] = {}
-        if self._disk is not None:
-            stored = self._disk.get(PATTERN_NAMESPACE, self._tech_key)
-            if isinstance(stored, dict):
-                for key, value in stored.items():
-                    try:
-                        i_off, n_devices = value
-                        self._persistent[key] = PatternCurrents(
-                            float(i_off), int(n_devices))
-                    except (TypeError, ValueError):
-                        continue
 
     @property
     def solves(self) -> int:
@@ -102,18 +73,9 @@ class PatternSimulator:
         """Cached DC solution for the pattern."""
         key = pattern.key
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._persistent.get(key)
-        if result is None:
-            result = self._simulate(pattern)
-            self._persistent[key] = result
-            if self._disk is not None:
-                self._disk.merge(
-                    PATTERN_NAMESPACE, self._tech_key,
-                    {key: [result.i_off, result.n_devices]})
-        self._cache[key] = result
-        return result
+        if cached is None:
+            cached = self._cache[key] = self._simulate(pattern)
+        return cached
 
     def _simulate(self, pattern: LeakagePattern) -> PatternCurrents:
         circuit = Circuit(f"pattern {pattern.key}")

@@ -171,9 +171,6 @@ class LibraryEntry:
     factory: LibraryFactory
     aliases: Tuple[str, ...] = ()
     description: str = ""
-    #: Whether :func:`cached_library` may hydrate this library from a
-    #: prebuilt foundry artifact before falling back to the factory.
-    artifact: bool = True
 
 
 _LIBRARIES = _Registry("library")
@@ -184,7 +181,6 @@ _LIBRARY_CACHE: Dict[Tuple[str, Optional[float]], Library] = {}
 def register_library(key: str, factory: LibraryFactory, *,
                      aliases: Tuple[str, ...] = (),
                      description: str = "",
-                     artifact: bool = True,
                      replace: bool = False) -> LibraryEntry:
     """Register a library factory under ``key`` (plus optional aliases).
 
@@ -195,9 +191,6 @@ def register_library(key: str, factory: LibraryFactory, *,
             technology's native supply.
         aliases: additional accepted spellings of the key.
         description: one line for CLI listings.
-        artifact: allow hydration from prebuilt foundry artifacts;
-            disable for factories whose output the foundry's structural
-            content key cannot capture (e.g. stateful closures).
         replace: allow re-registering an existing key (its cached
             builds are dropped); without it a collision raises.
 
@@ -205,8 +198,7 @@ def register_library(key: str, factory: LibraryFactory, *,
         ExperimentError: on key/alias collisions (unless ``replace``).
     """
     entry = LibraryEntry(key=key, factory=factory,
-                         aliases=tuple(aliases), description=description,
-                         artifact=artifact)
+                         aliases=tuple(aliases), description=description)
     _LIBRARIES.add(entry, replace=replace)
     for cache_key in [k for k in _LIBRARY_CACHE if k[0] == key]:
         del _LIBRARY_CACHE[cache_key]
@@ -255,10 +247,13 @@ def build_library(name: str, vdd: Optional[float] = None) -> Library:
 def cached_library(name: str, vdd: Optional[float] = None) -> Library:
     """Build a library once per process per (key, vdd) and reuse it.
 
-    The cache is what lets worker processes and repeated estimates
-    share characterized libraries (and their warmed match tables);
-    ``vdd=None`` and the technology's literal native supply are
-    distinct cache slots but construct value-identical libraries.
+    Only memoizes ``factory(vdd)``: the instance carries its own
+    timing, capacitance and leakage-table memos, so worker processes
+    and repeated estimates share one characterized library (and its
+    warmed match tables).  Its leakage tables come from the ``leakage``
+    ladder, so a store the foundry built answers with zero SPICE
+    solves.  ``vdd=None`` and the technology's literal native supply
+    are distinct cache slots but construct value-identical libraries.
     Lookups count ``libraries.hits`` / ``libraries.misses`` in
     :mod:`repro.obs`.
     """
@@ -267,15 +262,7 @@ def cached_library(name: str, vdd: Optional[float] = None) -> Library:
     library = _LIBRARY_CACHE.get(cache_key)
     obs.count("libraries.misses" if library is None else "libraries.hits")
     if library is None:
-        entry = _LIBRARIES.entries[key]
-        if entry.artifact:
-            # Prebuilt path: hydrate from a foundry artifact when one
-            # exists (bit-identical, zero SPICE solves).  Lazy import —
-            # the foundry imports this module at its top level.
-            from repro import foundry
-            library = foundry.load_library(key, vdd)
-        if library is None:
-            library = entry.factory(vdd)
+        library = _LIBRARIES.entries[key].factory(vdd)
         _LIBRARY_CACHE[cache_key] = library
     return library
 

@@ -179,6 +179,9 @@ class Engine:
                 "timing": {**lru(timing.LADDER.lru),
                            "disk_hits": delta["timing.disk_hits"],
                            "computes": delta["timing.computes"]},
+                # Leakage tables read from the store vs characterized.
+                "leakage": {"disk_hits": delta["leakage.disk_hits"],
+                            "computes": delta["leakage.computes"]},
                 # quarantined > 0 means corrupt entries were found,
                 # moved aside and transparently recomputed.
                 "disk": obs.section(delta, "disk", DISK_COUNTERS),
@@ -192,10 +195,8 @@ class Engine:
                     if delta["sim.elapsed_s"] > 0 else 0.0),
             },
             # spice_solves is the acceptance meter: a server running
-            # against a complete prebuilt artifact store holds it at 0.
-            "foundry": {**obs.section(delta, "foundry",
-                                      foundry.FOUNDRY_COUNTERS),
-                        "spice_solves": delta["spice.solves"]},
+            # against a store the foundry built holds it at 0.
+            "foundry": {"spice_solves": delta["spice.solves"]},
             "counters": counters,
         }
 

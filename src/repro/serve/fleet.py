@@ -66,7 +66,7 @@ import time
 import urllib.request
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional
 
@@ -75,6 +75,7 @@ from repro.resilience import Backoff
 from repro.serve.http import (
     DEFAULT_MAX_INFLIGHT,
     RETRY_AFTER_DRAINING,
+    JsonHandler,
 )
 
 #: How often workers write their heartbeat file, seconds.
@@ -294,22 +295,10 @@ class _DegradedResponder:
 
 # -- control endpoint ---------------------------------------------------------
 
-class _ControlHandler(BaseHTTPRequestHandler):
+class _ControlHandler(JsonHandler):
     """The supervisor's own health API (``self.server.supervisor``)."""
 
     server_version = f"repro-fleet/{__version__}"
-    protocol_version = "HTTP/1.1"
-
-    def _send_json(self, status: int, payload: Dict[str, Any],
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         path = self.path.split("?", 1)[0].rstrip("/")

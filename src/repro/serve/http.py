@@ -99,17 +99,21 @@ RETRY_AFTER_OVERLOADED = "0.5"
 RETRY_AFTER_DRAINING = "1"
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """One request; ``self.server`` is the :class:`PowerServer`."""
+#: What :meth:`_Handler._read_body_json` returns once it has already
+#: answered the request with an error (a JSON ``null`` body is ``None``).
+_ANSWERED = object()
 
-    server_version = f"repro-serve/{__version__}"
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """Keep-alive HTTP/1.1 JSON responses, for the service and the fleet.
+
+    Headers and body go out in two writes; with Nagle's algorithm on,
+    the body waits for the client's delayed ACK (~40 ms per keep-alive
+    round trip), so every connection sets ``TCP_NODELAY``.
+    """
+
     protocol_version = "HTTP/1.1"
-
-    @property
-    def engine(self) -> Engine:
-        return self.server.engine  # type: ignore[attr-defined]
-
-    # -- plumbing ----------------------------------------------------------
+    disable_nagle_algorithm = True
 
     def _send_json(self, status: int, payload: Dict[str, Any],
                    headers: Optional[Dict[str, str]] = None) -> None:
@@ -121,6 +125,18 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+
+
+class _Handler(JsonHandler):
+    """One request; ``self.server`` is the :class:`PowerServer`."""
+
+    server_version = f"repro-serve/{__version__}"
+
+    @property
+    def engine(self) -> Engine:
+        return self.server.engine  # type: ignore[attr-defined]
+
+    # -- plumbing ----------------------------------------------------------
 
     def _send_error_json(self, status: int, code: str, message: str,
                          retry_after: Optional[str] = None) -> None:
@@ -137,18 +153,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.close_connection = True
         return True
 
-    def _read_body_json(self) -> Optional[Any]:
+    def _read_body_json(self) -> Any:
+        """The parsed body, or :data:`_ANSWERED` after an error reply."""
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             self.close_connection = True
             self._send_error_json(400, "bad_request",
                                   "bad Content-Length header")
-            return None
+            return _ANSWERED
         if length <= 0:
             self._send_error_json(400, "bad_request",
                                   "missing request body")
-            return None
+            return _ANSWERED
         if length > MAX_BODY_BYTES:
             # The body is never read; a kept-alive connection would
             # parse it as the next request line, so drop the link.
@@ -157,14 +174,14 @@ class _Handler(BaseHTTPRequestHandler):
                 413, "payload_too_large",
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit")
-            return None
+            return _ANSWERED
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             self._send_error_json(400, "bad_request",
                                   f"bad JSON body: {exc}")
-            return None
+            return _ANSWERED
 
     # -- routes ------------------------------------------------------------
 
@@ -235,7 +252,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             data = self._read_body_json()
-            if data is None:
+            if data is _ANSWERED:
                 return
             # Mid-request SIGKILL point for fleet chaos drills: the
             # request is admitted and read, then the worker dies with

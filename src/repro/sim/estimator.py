@@ -178,8 +178,10 @@ class _LeakageTables:
                     disk: Optional[DiskCache] = None) -> "_LeakageTables":
         """The library's tables: its instance memo, then the ladder.
 
+        The ladder entry is the only stored form of a characterization:
+        a process whose store holds it solves nothing in SPICE.
         ``disk`` overrides the environment's store (the foundry builds
-        against its own artifact root).
+        against its own root).
         """
         tables = cls._cache.get(library)
         if tables is None:

@@ -72,6 +72,34 @@ class TestConfig:
         with pytest.raises(Exception, match="unknown ExperimentConfig"):
             ExperimentConfig.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("data, match", [
+        ([], "JSON object"),
+        ("vdd=0.9", "JSON object"),
+        ({"seed": None}, "'seed' must be an integer"),
+        ({"vdd": "0.9"}, "'vdd' must be a number"),
+        ({"fanout": "3"}, "'fanout' must be an integer"),
+        ({"n_patterns": 1500.5}, "'n_patterns' must be an integer"),
+        ({"synthesize": "no"}, "'synthesize' must be a boolean"),
+        ({"synthesize": 1}, "'synthesize' must be a boolean"),
+        ({"frequency": True}, "'frequency' must be a number"),
+        ({"state_patterns": False}, "'state_patterns' must be an integer"),
+        ({"backend": 7}, "'backend' must be a string"),
+    ])
+    def test_wrong_typed_fields_rejected(self, data, match):
+        from repro.errors import ExperimentError
+
+        with pytest.raises(ExperimentError, match=match):
+            ExperimentConfig.from_dict(data)
+
+    def test_numeric_types_accepted(self):
+        import numpy as np
+
+        config = ExperimentConfig(vdd=np.float64(0.8), frequency=2,
+                                  fanout=np.int64(4),
+                                  n_patterns=np.int32(256))
+        assert (config.vdd, config.frequency, config.fanout,
+                config.n_patterns) == (0.8, 2, 4, 256)
+
 
 class TestReporting:
     def test_render_table(self):

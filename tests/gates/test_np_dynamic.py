@@ -78,7 +78,7 @@ class TestNpDynamicRegistration:
 
         rows = {row["key"]: row for row in foundry.library_listing()}
         assert NP_DYNAMIC in rows
-        assert rows[NP_DYNAMIC]["prebuilt"]
+        assert rows[NP_DYNAMIC]["description"]
 
 
 def test_vdd_aware_factory():

@@ -248,6 +248,37 @@ class TestOptimizeEndpoint:
             assert excinfo.value.code == 400, payload
 
 
+class TestKeepAlive:
+    def test_hot_round_trips_on_one_connection_are_fast(self, server,
+                                                        tiny_grid_config):
+        """Headers and body are separate writes: without TCP_NODELAY
+        each keep-alive reply waits for the client's delayed ACK
+        (~40 ms)."""
+        import http.client
+        import statistics
+        import time
+
+        body = json.dumps(PowerQuery("t481", "cmos",
+                                     tiny_grid_config).to_dict())
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        elapsed = []
+        try:
+            for _ in range(21):
+                start = time.perf_counter()
+                connection.request("POST", "/v1/estimate", body=body,
+                                   headers={"Content-Type":
+                                            "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                elapsed.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        # The first request may be cold; the 20 after it are hot.
+        assert statistics.median(elapsed[1:]) < 0.010, elapsed
+
+
 class TestDiscoveryEndpoints:
     def test_healthz(self, client):
         health = client.healthz()
@@ -324,6 +355,34 @@ class TestErrorMapping:
                 response += chunk
         assert response.startswith(b"HTTP/1.1 400")
         assert b"Content-Length" in response
+
+    @pytest.mark.parametrize("path", ["/v1/estimate",
+                                      "/v1/estimate_batch",
+                                      "/v1/optimize"])
+    def test_null_body_is_400(self, server, path):
+        """``null`` is valid JSON: it must reach the schema parser and
+        be answered, not leave the client waiting."""
+        request = urllib.request.Request(
+            f"{server.url}{path}", data=b"null",
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=5)
+        assert caught.value.code == 400
+        error = json.loads(caught.value.read())["error"]
+        assert error["code"] == "bad_request"
+        assert "JSON object" in error["message"]
+
+    # One case per old outcome: run at the paper config, run unseeded
+    # (and cached), and 500 ``internal``.
+    @pytest.mark.parametrize("config", [[], {"seed": None},
+                                        {"vdd": "0.9"}])
+    def test_wrong_typed_config_is_400(self, server, config):
+        status, payload = self._post_raw(
+            server, json.dumps({"circuit": "t481", "library": "cmos",
+                                "config": config}).encode())
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert "ExperimentConfig" in payload["error"]["message"]
 
     def test_unknown_path_is_404(self, server):
         status, payload = self._post_raw(

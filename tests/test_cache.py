@@ -11,11 +11,8 @@ from repro import obs
 from repro.cache import DiskCache, stable_hash
 from repro.devices.parameters import cmos_32nm, cntfet_32nm
 from repro.power.pattern_sim import PatternSimulator
-from repro.power.patterns import LeakagePattern
 from repro.power.characterize import characterize_library
 from repro.sim.estimator import _LeakageTables, _library_content_key
-
-D = ("d",)
 
 
 class TestStableHash:
@@ -80,44 +77,12 @@ class TestDiskCache:
 
 class TestPatternSimulatorPersistence:
     def test_solves_do_not_grow_on_second_characterization(self, glib):
-        simulator = PatternSimulator(glib.tech, disk_cache=None)
+        simulator = PatternSimulator(glib.tech)
         characterize_library(glib, simulator=simulator)
         solves_after_first = simulator.solves
         assert solves_after_first > 0
         characterize_library(glib, simulator=simulator)
         assert simulator.solves == solves_after_first
-
-    def test_warm_disk_cache_skips_every_solve(self, tmp_path, cmos_tech):
-        cache = DiskCache(root=tmp_path, enabled=True)
-        cold = PatternSimulator(cmos_tech, disk_cache=cache)
-        patterns = [LeakagePattern(D), LeakagePattern(("s", D, D)),
-                    LeakagePattern(("p", D, ("s", D, D)))]
-        cold_currents = [cold.currents(p) for p in patterns]
-        assert cold.solves == len(patterns)
-
-        warm = PatternSimulator(cmos_tech, disk_cache=cache)
-        warm_currents = [warm.currents(p) for p in patterns]
-        assert warm.solves == 0
-        for a, b in zip(cold_currents, warm_currents):
-            assert a.i_off == b.i_off
-            assert a.n_devices == b.n_devices
-        # Session-level bookkeeping still reflects what was requested.
-        assert warm.cache_size == len(patterns)
-        assert warm.pattern_keys == {p.key for p in patterns}
-
-    def test_technology_change_invalidates(self, tmp_path, cmos_tech):
-        cache = DiskCache(root=tmp_path, enabled=True)
-        first = PatternSimulator(cmos_tech, disk_cache=cache)
-        first.currents(LeakagePattern(D))
-        assert first.solves == 1
-
-        changed = PatternSimulator(cmos_tech.with_vdd(0.8), disk_cache=cache)
-        changed.currents(LeakagePattern(D))
-        assert changed.solves == 1  # cache key differs; must re-solve
-
-        same = PatternSimulator(cmos_tech, disk_cache=cache)
-        same.currents(LeakagePattern(D))
-        assert same.solves == 0
 
 
 class TestLeakageTablesPersistence:

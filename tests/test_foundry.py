@@ -1,20 +1,25 @@
-"""The library foundry: artifacts, hydration, counters, CLI, service."""
+"""The library foundry: ladder entries, index rows, CLI, service."""
 
-import dataclasses
-
+import numpy as np
 import pytest
 
 from repro import foundry, obs, registry
 from repro.cache import DiskCache
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
+from repro.sim.estimator import (
+    _LEAKAGE_LADDER,
+    _LeakageTables,
+    _library_content_key,
+)
 
 VDDS = (0.8, 0.9)
+LEAKAGE = _LEAKAGE_LADDER.namespace
 
 
 @pytest.fixture
 def store(tmp_path, monkeypatch):
-    """A fresh enabled artifact store wired in as the default cache."""
+    """A fresh enabled store wired in as the default cache."""
     root = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
     monkeypatch.setenv("REPRO_CACHE_DISABLE", "0")
@@ -23,15 +28,28 @@ def store(tmp_path, monkeypatch):
     registry.clear_library_cache()
 
 
-def _foundry_since(before):
-    """The foundry's artifact counters gained since ``before``."""
-    return obs.section(obs.diff(before), "foundry",
-                       foundry.FOUNDRY_COUNTERS)
+def _leakage_since(before):
+    """Leakage-ladder disk hits, computes and SPICE solves since
+    ``before``."""
+    delta = obs.diff(before)
+    return {"disk_hits": delta["leakage.disk_hits"],
+            "computes": delta["leakage.computes"],
+            "spice_solves": delta["spice.solves"]}
 
 
-def _artifact_path(store, name, vdd):
-    return (store.root / foundry.FOUNDRY_NAMESPACE /
-            f"{foundry.artifact_key(name, vdd)}.json")
+def _ladder_key(name, vdd):
+    return _library_content_key(registry.build_library(name, vdd))
+
+
+def _entry_path(store, name, vdd):
+    return store.root / LEAKAGE / f"{_ladder_key(name, vdd)}.json"
+
+
+def _assert_tables_equal(a, b):
+    assert set(a.i_off) == set(b.i_off)
+    for name in a.i_off:
+        np.testing.assert_array_equal(a.i_off[name], b.i_off[name])
+        np.testing.assert_array_equal(a.i_gate[name], b.i_gate[name])
 
 
 def _config(vdd):
@@ -40,58 +58,51 @@ def _config(vdd):
 
 class TestArtifact:
     def test_build_save_load_round_trip(self, store):
-        artifact = foundry.build_artifact("cmos", 0.9, cache=store)
-        foundry.save_artifact(artifact, store)
-        loaded = foundry.load_artifact("cmos", 0.9, store)
-        assert loaded == artifact
-        assert loaded.content_hash == artifact.content_hash
-        assert loaded.schema_version == foundry.FOUNDRY_SCHEMA_VERSION
-
-    def test_content_hash_excludes_builder_version(self, store):
-        artifact = foundry.build_artifact("cmos", 0.9, cache=store)
-        renumbered = dataclasses.replace(artifact,
-                                         builder_version="99.0.0")
-        assert renumbered.content_hash == artifact.content_hash
+        """A build stores the tables under their ladder key and indexes
+        the slot with its provenance."""
+        foundry.characterize(["cmos"], (0.9,), cache=store)
+        library = registry.build_library("cmos", 0.9)
+        key = _library_content_key(library)
+        stored = _LEAKAGE_LADDER.stored(key, library, store)
+        _assert_tables_equal(stored, _LeakageTables(library))
+        row = foundry.store_index(store)[foundry.artifact_key("cmos", 0.9)]
+        assert row["leakage_key"] == key
+        assert row["library"] == "cmos" and row["vdd"] == 0.9
+        assert row["cells"] == len(library)
+        assert row["hash"] == foundry.verify_artifact(
+            "cmos", 0.9, store)["rebuilt_hash"]
 
     def test_alias_and_key_address_the_same_artifact(self, store):
         assert (foundry.artifact_key("cmos32", 0.9)
                 == foundry.artifact_key("cmos", 0.9))
 
     def test_hydration_runs_zero_spice_solves(self, store):
-        artifact = foundry.build_artifact("cntfet-conventional", 0.9,
-                                          cache=store)
-        foundry.save_artifact(artifact, store)
+        """A fresh library finds its tables in the store: one disk hit
+        of the leakage ladder, no SPICE."""
+        foundry.characterize(["cntfet-conventional"], (0.9,), cache=store)
         before = obs.snapshot()
-        library = foundry.load_library("conventional", 0.9, store)
-        assert library is not None
-        # Exercise everything an estimate needs: timing, pin and
-        # output capacitance, leakage tables.
-        from repro.sim.estimator import _LeakageTables
+        library = registry.build_library("conventional", 0.9)
         for cell in library:
             library.timing(cell.name)
             library.pin_capacitances(cell.name)
             library.output_capacitance(cell.name)
-        assert library in _LeakageTables._cache
-        assert obs.diff(before)["spice.solves"] == 0
-        counters = _foundry_since(before)
-        assert counters["artifact_hits"] == 1
-        assert counters["artifact_misses"] == 0
+        _LeakageTables.for_library(library)
+        assert _leakage_since(before) == {"disk_hits": 1, "computes": 0,
+                                          "spice_solves": 0}
 
     def test_hydrated_values_match_live(self, store):
-        artifact = foundry.build_artifact("cmos", 0.8, cache=store)
-        foundry.save_artifact(artifact, store)
-        hydrated = foundry.load_library("cmos", 0.8, store)
-        live = registry.build_library("cmos", 0.8)
-        for cell in live:
-            assert (hydrated.timing(cell.name)
-                    == live.timing(cell.name)), cell.name
-            assert (hydrated.pin_capacitances(cell.name)
-                    == live.pin_capacitances(cell.name)), cell.name
+        foundry.characterize(["cmos"], (0.8,), cache=store)
+        stored = _LeakageTables.for_library(registry.build_library("cmos",
+                                                                   0.8))
+        _assert_tables_equal(stored,
+                             _LeakageTables(registry.build_library("cmos",
+                                                                   0.8)))
 
 
 class TestRoundTripBitIdentity:
     def test_paper_benchmarks_at_two_vdds(self, store):
-        """Hydrated Session.run equals live float-for-float, 12x2."""
+        """A store built by the foundry answers Session.run exactly as
+        live characterization does, float for float, 12x2."""
         from repro.api import Session
         from repro.sim import activity
 
@@ -112,68 +123,46 @@ class TestRoundTripBitIdentity:
         for vdd in VDDS:
             session = Session(_config(vdd))
             for name in benchmarks:
-                hydrated = session.run(name, "cmos")
-                assert hydrated == live[(name, vdd)], (name, vdd)
-        assert obs.diff(before)["spice.solves"] == 0
-        counters = _foundry_since(before)
-        assert counters["artifact_hits"] == len(VDDS)
-        assert counters["artifact_misses"] == 0
+                stored = session.run(name, "cmos")
+                assert stored == live[(name, vdd)], (name, vdd)
+        assert _leakage_since(before) == {"disk_hits": len(VDDS),
+                                          "computes": 0, "spice_solves": 0}
 
 
 class TestMissPaths:
     def test_missing_artifact_is_counted_miss(self, store):
         before = obs.snapshot()
-        assert foundry.load_library("cmos", 0.9, store) is None
-        counters = _foundry_since(before)
-        assert counters["artifact_misses"] == 1
-        assert counters["artifact_hits"] == 0
+        _LeakageTables.for_library(registry.build_library("cmos", 0.9))
+        counters = _leakage_since(before)
+        assert counters["computes"] == 1
+        assert counters["disk_hits"] == 0
+        assert counters["spice_solves"] > 0
 
     def test_corrupt_artifact_quarantined_clean_miss(self, store):
-        artifact = foundry.build_artifact("cmos", 0.9, cache=store)
-        foundry.save_artifact(artifact, store)
-        path = _artifact_path(store, "cmos", 0.9)
+        foundry.characterize(["cmos"], (0.9,), cache=store)
+        path = _entry_path(store, "cmos", 0.9)
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         before = obs.snapshot()
-        registry.clear_library_cache()
         library = registry.cached_library("cmos", 0.9)
-        assert library is not None            # live fallback
-        assert obs.diff(before)["disk.quarantined"] >= 1
-        counters = _foundry_since(before)
-        assert counters["artifact_misses"] >= 1
-        assert counters["artifact_hits"] == 0
-        assert not path.exists()              # moved aside, not re-read
-
-    def test_stale_schema_version_rejected(self, store):
-        artifact = foundry.build_artifact("cmos", 0.9, cache=store)
-        key = foundry.save_artifact(artifact, store)
-        stored = store.get(foundry.FOUNDRY_NAMESPACE, key)
-        stored["schema_version"] = foundry.FOUNDRY_SCHEMA_VERSION + 1
-        store.put(foundry.FOUNDRY_NAMESPACE, key, stored)
-        before = obs.snapshot()
-        assert foundry.load_library("cmos", 0.9, store) is None
-        counters = _foundry_since(before)
-        assert counters["artifact_stale_schema"] == 1
-        assert counters["artifact_misses"] == 1
-
-    def test_content_key_mismatch_rejected(self, store):
-        artifact = foundry.build_artifact("cmos", 0.9, cache=store)
-        key = foundry.save_artifact(artifact, store)
-        stored = store.get(foundry.FOUNDRY_NAMESPACE, key)
-        stored["library_key"] = "0" * 32
-        store.put(foundry.FOUNDRY_NAMESPACE, key, stored)
-        before = obs.snapshot()
-        assert foundry.load_library("cmos", 0.9, store) is None
-        assert _foundry_since(before)["artifact_mismatch"] == 1
+        tables = _LeakageTables.for_library(library)
+        assert obs.diff(before)["disk.quarantined"] == 1
+        assert _leakage_since(before)["computes"] == 1    # live fallback
+        _assert_tables_equal(tables, _LeakageTables(library))
+        assert path.exists()                   # rewritten by the recompute
+        assert foundry.verify_artifact("cmos", 0.9, store)["status"] == "ok"
 
     def test_truncated_leakage_tables_rejected(self, store):
-        artifact = foundry.build_artifact("cmos", 0.9, cache=store)
-        key = foundry.save_artifact(artifact, store)
-        stored = store.get(foundry.FOUNDRY_NAMESPACE, key)
-        del stored["leakage"]["INV"]
-        store.put(foundry.FOUNDRY_NAMESPACE, key, stored)
+        """An entry missing a cell passes its checksum but not the
+        decode against the library: recomputed and overwritten."""
+        foundry.characterize(["cmos"], (0.9,), cache=store)
+        key = _ladder_key("cmos", 0.9)
+        stored = store.get(LEAKAGE, key)
+        del stored["INV"]
+        store.put(LEAKAGE, key, stored)
         before = obs.snapshot()
-        assert foundry.load_library("cmos", 0.9, store) is None
-        assert _foundry_since(before)["artifact_invalid"] == 1
+        _LeakageTables.for_library(registry.build_library("cmos", 0.9))
+        assert _leakage_since(before)["computes"] == 1
+        assert "INV" in store.get(LEAKAGE, key)
 
 
 class TestCharacterize:
@@ -189,9 +178,24 @@ class TestCharacterize:
         assert first.counts() == {"built": 1, "cached": 0, "failed": 0}
         second = foundry.characterize(["cmos"], (0.9,), cache=store)
         assert second.counts()["cached"] == 1
+        before = obs.snapshot()
         forced = foundry.characterize(["cmos"], (0.9,), cache=store,
                                       force=True)
         assert forced.counts()["built"] == 1
+        assert obs.diff(before)["spice.solves"] > 0
+        assert forced.outcomes[0].hash == first.outcomes[0].hash
+
+    def test_live_entry_is_cached_and_indexed(self, store):
+        """A cold live worker and a build write the same entry: the
+        build finds it, solves nothing and indexes it."""
+        _LeakageTables.for_library(registry.build_library("cmos", 0.9))
+        assert foundry.store_index(store) == {}
+        before = obs.snapshot()
+        report = foundry.characterize(["cmos"], (0.9,), cache=store)
+        assert report.counts()["cached"] == 1
+        assert obs.diff(before)["spice.solves"] == 0
+        assert [row["library"] for row in foundry.store_index(store).values()] \
+            == ["cmos"]
 
     def test_all_registered_libraries_are_build_targets(self, store):
         report = foundry.characterize(vdd_points=(0.9,), cache=store)
@@ -209,12 +213,12 @@ class TestCharacterize:
 
 class TestVerifyAndExport:
     def test_verify_ok_and_mismatch(self, store):
-        artifact = foundry.build_artifact("cmos", 0.9, cache=store)
-        key = foundry.save_artifact(artifact, store)
+        foundry.characterize(["cmos"], (0.9,), cache=store)
         assert foundry.verify_artifact("cmos", 0.9, store)["status"] == "ok"
-        stored = store.get(foundry.FOUNDRY_NAMESPACE, key)
-        stored["timing"]["INV"][0] *= 2.0
-        store.put(foundry.FOUNDRY_NAMESPACE, key, stored)
+        key = _ladder_key("cmos", 0.9)
+        stored = store.get(LEAKAGE, key)
+        stored["INV"]["i_off"][0] *= 2.0
+        store.put(LEAKAGE, key, stored)
         outcome = foundry.verify_artifact("cmos", 0.9, store)
         assert outcome["status"] == "mismatch"
         assert outcome["stored_hash"] != outcome["rebuilt_hash"]
@@ -230,9 +234,12 @@ class TestVerifyAndExport:
         assert foundry.export_store(str(target), ["cmos"],
                                     cache=store) == 1
         exported = DiskCache(root=target, enabled=True)
-        assert foundry.load_library("cmos", 0.9, exported) is not None
-        assert foundry.load_library("conventional", 0.9,
-                                    exported) is None
+        cmos = registry.build_library("cmos", 0.9)
+        conventional = registry.build_library("conventional", 0.9)
+        assert _LEAKAGE_LADDER.stored(_library_content_key(cmos), cmos,
+                                      exported) is not None
+        assert _LEAKAGE_LADDER.stored(_library_content_key(conventional),
+                                      conventional, exported) is None
         index = foundry.store_index(exported)
         assert len(index) == 1
 
@@ -245,9 +252,8 @@ class TestListing:
                 for row in foundry.library_listing(store)}
         row = rows["cmos"]
         assert row["characterized_vdds"] == [0.8, 0.9]
-        assert row["prebuilt"] is True
-        assert [a["schema_version"] for a in row["artifacts"]] \
-            == [foundry.FOUNDRY_SCHEMA_VERSION] * 2
+        assert [a["leakage_key"] for a in row["artifacts"]] \
+            == [_ladder_key("cmos", vdd) for vdd in VDDS]
         assert all(a["hash"] for a in row["artifacts"])
         assert 0.9 in row["hot_vdds"]
         assert rows["cntfet-np-dynamic"]["artifacts"] == []
@@ -258,7 +264,7 @@ class TestListing:
             foundry.library_listing(store), verbose=True))
         assert "cmos (aliases: cmos32)" in lines
         assert "artifacts: 1 (vdd: 0.9V)" in lines
-        assert "schema=v1" in lines
+        assert f"leakage/{_ladder_key('cmos', 0.9)}" in lines
 
 
 class TestRegistryIntegration:
@@ -267,28 +273,10 @@ class TestRegistryIntegration:
         registry.clear_library_cache()
         before = obs.snapshot()
         library = registry.cached_library("cmos", 0.9)
-        assert obs.diff(before)["spice.solves"] == 0
-        assert _foundry_since(before)["artifact_hits"] == 1
+        _LeakageTables.for_library(library)
+        assert _leakage_since(before) == {"disk_hits": 1, "computes": 0,
+                                          "spice_solves": 0}
         assert registry.cached_library("cmos", 0.9) is library
-
-    def test_artifact_flag_opts_out(self, store):
-        foundry.characterize(["cmos"], (0.9,), cache=store)
-        entry = registry.library_entry("cmos")
-        registry.register_library(
-            "cmos", entry.factory, aliases=entry.aliases,
-            description=entry.description, artifact=False,
-            replace=True)
-        try:
-            before = obs.snapshot()
-            registry.cached_library("cmos", 0.9)
-            counters = _foundry_since(before)
-            assert counters["artifact_hits"] == 0
-            assert counters["artifact_misses"] == 0
-        finally:
-            registry.register_library(
-                "cmos", entry.factory, aliases=entry.aliases,
-                description=entry.description, artifact=True,
-                replace=True)
 
     def test_cached_library_vdds_tracks_hot_slots(self, store):
         registry.cached_library("cmos", 0.8)
@@ -306,11 +294,9 @@ class TestEngineSurface:
 
         engine = Engine(Session(tiny_config))
         stats = engine.stats()
-        section = stats["foundry"]
-        for field in ("artifact_hits", "artifact_misses",
-                      "artifact_stale_schema", "artifact_mismatch",
-                      "artifact_invalid", "spice_solves"):
-            assert section[field] == 0, section
+        assert stats["foundry"] == {"spice_solves": 0}
+        assert stats["caches"]["leakage"] == {"disk_hits": 0,
+                                              "computes": 0}
 
     def test_prebuilt_server_answers_with_zero_solves(self, store):
         from repro.api import Session
@@ -324,11 +310,12 @@ class TestEngineSurface:
         from repro.sim import activity
         activity.LADDER.lru.clear()
         engine = Engine(Session(config))
-        hydrated = engine.estimate_request("t481", "cmos")
-        assert hydrated.result == live.result
-        section = engine.stats()["foundry"]
-        assert section["spice_solves"] == 0
-        assert section["artifact_hits"] >= 1
+        prebuilt = engine.estimate_request("t481", "cmos")
+        assert prebuilt.result == live.result
+        stats = engine.stats()
+        assert stats["foundry"]["spice_solves"] == 0
+        assert stats["caches"]["leakage"] == {"disk_hits": 1,
+                                              "computes": 0}
 
     def test_libraries_payload_shares_listing(self, store):
         from repro.serve import Engine
@@ -372,6 +359,19 @@ class TestFoundryCli:
         assert "exported 1 artifact(s)" in out
         exported = DiskCache(root=tmp_path / "exported", enabled=True)
         assert len(foundry.store_index(exported)) == 1
+
+    def test_verify_exits_one_on_mismatch(self, store, capsys):
+        from repro.cli import main
+
+        foundry.characterize(["cmos"], (0.9,), cache=store)
+        key = _ladder_key("cmos", 0.9)
+        stored = store.get(LEAKAGE, key)
+        stored["INV"]["i_gate"][0] += 1e-12
+        store.put(LEAKAGE, key, stored)
+        assert main(["foundry", "verify", "--cache-dir",
+                     str(store.root)]) == 1
+        out = capsys.readouterr().out
+        assert "mismatch" in out and "1 problem(s)" in out
 
     def test_libraries_cli_shows_provenance(self, store, capsys):
         from repro.cli import main
