@@ -4,8 +4,9 @@ Measures what the activity/pricing split buys on operating-point
 exploration — the vdd/frequency trade-off space of the source paper:
 
 * **per-point** — the historical runner's cost model: every point pays
-  a full bit-parallel simulation before pricing (emulated by clearing
-  the activity cache between points);
+  a full bit-parallel simulation before pricing (emulated by pricing
+  each point alone through :func:`repro.experiments.flow.price_mapped`
+  and clearing the activity cache between points);
 * **grouped** — the current runner: one simulation per activity group,
   every other point of the group repriced through the vectorized
   pricing layer;
@@ -69,15 +70,16 @@ def _warm_everything(spec) -> None:
 def _run_per_point(spec) -> dict:
     """Every point pays its own simulation (the historical cost)."""
     from repro import obs
+    from repro.experiments.flow import price_mapped
     from repro.sim import activity
-    from repro.sweep.runner import run_sweep_task
+    from repro.sweep.runner import _task_netlist
 
     tasks = spec.expand()
     before = obs.snapshot()
     start = time.perf_counter()
     for task in tasks:
         activity.LADDER.lru.clear()  # the pre-split runner had no stats cache
-        run_sweep_task(task)
+        price_mapped([(task, _task_netlist(task))])
     return {"wall_s": time.perf_counter() - start,
             "points": len(tasks),
             "simulations": obs.diff(before)["activity.computes"]}

@@ -15,7 +15,9 @@ entry point routes through::
     session.sweep(SweepSpec(vdd=(0.8, 0.9)))  # a scenario grid
 
 ``reproduce_table1`` and the sweep runner are thin wrappers over a
-Session; the CLI builds one per command.  Anything registered with
+Session; the CLI builds one per command.  Table 1 cells, sweep groups
+and the serving engine's misses are all priced by one routine,
+:func:`repro.experiments.flow.price_mapped`.  Anything registered with
 :func:`repro.registry.register_library` or
 :func:`repro.sim.backends.register_backend` is immediately usable here
 — no experiment code changes.
@@ -33,11 +35,13 @@ from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig, PAPER_CONFIG
 from repro.experiments.flow import (
     CircuitFlowResult,
-    run_circuit_flow,
+    FlowQuery,
+    map_subject,
+    price_mapped,
     synthesized_benchmark,
     synthesize_subject,
 )
-from repro.experiments.parallel import parallel_map, parallel_map_stream, resolve_jobs
+from repro.experiments.parallel import parallel_map_stream, resolve_jobs
 from repro.experiments.table1 import (
     Table1Result,
     run_table1_cell,
@@ -180,16 +184,13 @@ class Session:
             return {key: self.run(circuit, key) for key in self.libraries}
         subject = self._subject(circuit)
         resolved = self.library(library)
-        flow = run_circuit_flow(subject, resolved, self.config,
-                                presynthesized=True)
-        if isinstance(circuit, str):
-            # Generators name their AIGs with a suffix, and the caller
-            # may have used an alias; report the canonical registry key.
-            key = registry.canonical_circuit(circuit)
-            if flow.circuit != key:
-                from dataclasses import replace
-                flow = replace(flow, circuit=key)
-        return flow
+        # Generators name their AIGs with a suffix, and the caller may
+        # have used an alias; report the canonical registry key.
+        name = circuit.name if isinstance(circuit, Aig) \
+            else registry.canonical_circuit(circuit)
+        netlist = map_subject(subject, resolved, self.config)
+        query = FlowQuery(name, resolved.name, self.config)
+        return price_mapped([(query, netlist)])[0]
 
     def table1(self, benchmarks: Optional[List[str]] = None,
                verbose: bool = False) -> Table1Result:
@@ -199,7 +200,10 @@ class Session:
         list accepts *any* registered circuit (keys or aliases, user
         BLIF netlists included) and keeps the given order.  At the
         paper config with the paper's three libraries this is
-        bit-identical to the historical ``reproduce_table1``.
+        bit-identical to the historical ``reproduce_table1``.  Any
+        ``jobs`` value streams the cells through one
+        :func:`~repro.experiments.parallel.parallel_map_stream` call;
+        ``verbose`` prints each cell as it lands.
         """
         if benchmarks is None:
             names = [spec.name for spec in benchmark_suite()]
@@ -211,32 +215,19 @@ class Session:
         order = list(self.libraries)
         tasks = [(name, key, self.config)
                  for name in names for key in order]
-        if self.jobs == 1:
-            # Serial: stream progress while computing.
-            flows = []
-            for task in tasks:
-                flow = run_table1_cell(task)
-                flows.append(flow)
-                if verbose:
-                    print(verbose_cell_line(flow))
-        else:
-            # chunksize=len(order) keeps one circuit's libraries on one
-            # worker, so each circuit is synthesized once per process
-            # that touches it.
-            flows = parallel_map(run_table1_cell, tasks, jobs=self.jobs,
-                                 chunksize=len(order))
-            if verbose:
-                for flow in flows:
-                    print(verbose_cell_line(flow))
+        # chunksize=len(order) keeps one circuit's libraries on one
+        # worker, so each circuit is synthesized once per process that
+        # touches it.
+        flows = parallel_map_stream(
+            run_table1_cell, tasks, jobs=self.jobs, chunksize=len(order),
+            callback=(lambda task, flow: print(verbose_cell_line(flow)))
+            if verbose else None)
 
-        result = Table1Result(config=self.config, library_order=order)
-        for name, start in zip(names, range(0, len(flows), len(order))):
-            row: Dict[str, CircuitFlowResult] = {}
-            for offset, key in enumerate(order):
-                row[key] = flows[start + offset]
-            result.results[name] = row
-            result.benchmark_order.append(name)
-        return result
+        cells = iter(flows)
+        return Table1Result(
+            config=self.config, library_order=order, benchmark_order=names,
+            results={name: {key: next(cells) for key in order}
+                     for name in names})
 
     def optimize(self, circuit: str, *,
                  vdds: Optional[Sequence[float]] = None,

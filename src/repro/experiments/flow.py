@@ -17,14 +17,16 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cache import LruCache
 from repro.experiments.config import ExperimentConfig, PAPER_CONFIG
 from repro.gates.library import Library
 from repro.power.model import energy_delay_product
-from repro.sim.backends import estimate_with_backend
-from repro.sim.estimator import CircuitPowerReport
+from repro.resilience import Deadline
+from repro.sim.activity import activity_key, simulation_stats
+from repro.sim.backends import BITSIM, estimate_with_backend
+from repro.sim.estimator import CircuitPowerReport, estimate_many
 from repro.synth.aig import Aig
 from repro.synth.mapper import MappingOptions, map_aig
 from repro.synth.netlist import MappedNetlist
@@ -144,11 +146,11 @@ def flow_from_power_report(report: CircuitPowerReport,
     """The single place a :class:`CircuitPowerReport` becomes a
     :class:`CircuitFlowResult`.
 
-    The Table 1 grid, the per-point and grouped sweep runners and the
-    :mod:`repro.serve` engine all finish here, which is what makes
-    their results comparable field for field.  ``circuit`` / ``library``
-    override the reported names (callers that resolved a registry key
-    report the canonical key, not the generator's internal name).
+    :func:`price_mapped` finishes every Table 1 cell, sweep point and
+    served answer here, which is what makes their results comparable
+    field for field.  ``circuit`` / ``library`` override the reported
+    names (callers that resolved a registry key report the canonical
+    key, not the generator's internal name).
     """
     params = config.power_parameters
     return CircuitFlowResult(
@@ -164,17 +166,69 @@ def flow_from_power_report(report: CircuitPowerReport,
     )
 
 
-def estimate_mapped(netlist: MappedNetlist,
-                    config: ExperimentConfig = PAPER_CONFIG,
-                    circuit: Optional[str] = None,
-                    library: Optional[str] = None) -> CircuitFlowResult:
-    """Estimate an already-mapped netlist (the tail of the pipeline)."""
-    report: CircuitPowerReport = estimate_with_backend(
-        netlist, config.power_parameters, config)
-    return flow_from_power_report(
-        report, config,
-        circuit=circuit if circuit is not None else netlist.name,
-        library=library if library is not None else netlist.library.name)
+class FlowQuery(NamedTuple):
+    """A (circuit, library, config) question such as a Table 1 cell —
+    the three fields :func:`price_mapped` reads off any query."""
+
+    circuit: str
+    library: str
+    config: ExperimentConfig
+
+
+def price_mapped(points: Sequence[Tuple[Any, MappedNetlist]],
+                 deadline: Optional[Deadline] = None
+                 ) -> List[CircuitFlowResult]:
+    """Price already-mapped points: the one answer path.
+
+    Each point pairs a query (a :class:`FlowQuery`,
+    :class:`~repro.schema.PowerQuery` or
+    :class:`~repro.sweep.spec.SweepTask`) with its circuit mapped under
+    the caller's own policy.  ``bitsim`` points run one
+    :func:`~repro.sim.activity.simulation_stats` per activity key
+    (netlist content plus pattern budget) and one
+    :func:`~repro.sim.estimator.estimate_many` per netlist — not per
+    supply: two libraries' netlists can share an activity key at one
+    vdd.  Other backends price point by point.  ``deadline`` is checked
+    before every simulation.  Returns the flows in input order, each
+    bit-identical to estimating its point alone.
+    """
+    if deadline is None:
+        deadline = Deadline()
+    reports: List[Optional[CircuitPowerReport]] = [None] * len(points)
+    # activity key -> netlist id -> indices of that netlist's points
+    groups: Dict[str, Dict[int, List[int]]] = {}
+    for index, (query, netlist) in enumerate(points):
+        config = query.config
+        if config.backend == BITSIM:
+            key = activity_key(netlist, config.n_patterns, config.seed,
+                               config.state_patterns)
+            groups.setdefault(key, {}).setdefault(id(netlist), []) \
+                .append(index)
+        else:
+            deadline.check("simulate")
+            reports[index] = estimate_with_backend(
+                netlist, config.power_parameters, config)
+    for by_netlist in groups.values():
+        deadline.check("simulate")
+        query, netlist = points[next(iter(by_netlist.values()))[0]]
+        config = query.config
+        stats = simulation_stats(netlist, config.n_patterns, config.seed,
+                                 config.state_patterns)
+        for indices in by_netlist.values():
+            netlist = points[indices[0]][1]
+            params = [points[index][0].config.power_parameters
+                      for index in indices]
+            # Each point prices on its own netlist's tables, whatever
+            # its supply — the contract of estimate_circuit_power.
+            priced = estimate_many(
+                netlist, stats, params,
+                netlists=dict.fromkeys((p.vdd for p in params), netlist))
+            for index, report in zip(indices, priced):
+                reports[index] = report
+    return [flow_from_power_report(report, query.config,
+                                   circuit=query.circuit,
+                                   library=query.library)
+            for (query, _), report in zip(points, reports)]
 
 
 def run_circuit_flow(aig: Aig, library: Library,
@@ -187,8 +241,7 @@ def run_circuit_flow(aig: Aig, library: Library,
     ``netlist`` short-circuits the synthesize+map stages with an
     already-mapped circuit — mapping is deterministic, so passing the
     cached netlist of the same (subject, library, mapper options) is
-    bit-identical to remapping.  Sweeps over operating points lean on
-    this: the netlist is fixed while VDD / frequency / fanout vary.
+    bit-identical to remapping.
 
     Estimation runs on the backend named by ``config.backend``
     (:mod:`repro.sim.backends`); the default ``"bitsim"`` is the
@@ -199,5 +252,5 @@ def run_circuit_flow(aig: Aig, library: Library,
         if config.synthesize and not presynthesized:
             subject = synthesize_subject(aig, config)
         netlist = map_subject(subject, library, config)
-    return estimate_mapped(netlist, config, circuit=aig.name,
-                           library=library.name)
+    query = FlowQuery(aig.name, library.name, config)
+    return price_mapped([(query, netlist)])[0]

@@ -10,6 +10,8 @@ formats them, plus the paper's own numbers for side-by-side reporting.
 :func:`reproduce_table1` is a thin wrapper over the
 :class:`repro.api.Session` front door, kept for its established
 signature; the grid orchestration itself lives in ``Session.table1``.
+Each cell is priced by :func:`repro.experiments.flow.price_mapped`,
+like every sweep point and served answer.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from repro.circuits.suite import (
 from repro.experiments.config import ExperimentConfig, PAPER_CONFIG
 from repro.experiments.flow import (
     CircuitFlowResult,
-    estimate_mapped,
+    FlowQuery,
     map_subject,
+    price_mapped,
     synthesized_benchmark,
 )
 from repro.experiments.reporting import format_ratio, format_saving, render_table
@@ -134,15 +137,15 @@ def run_table1_cell(task: Tuple[str, str, ExperimentConfig]
     This is the unit of work :meth:`repro.api.Session.table1` fans out
     over worker processes; it is deliberately module-level and
     argument-pure so it pickles under every multiprocessing start
-    method.  The reported ``circuit`` / ``library`` are the registry
-    keys the task named (not the generator's internal AIG name).
+    method.  The cell maps outside the netlist memo, so a finished
+    cell pins nothing.  The reported ``circuit`` / ``library`` are the
+    registry keys the task named (not the generator's internal name).
     """
-    name, library_key, config = task
-    subject = synthesized_benchmark(name, config.synthesize)
-    library = cached_library(library_key, config.vdd)
-    netlist = map_subject(subject, library, config)
-    return estimate_mapped(netlist, config, circuit=name,
-                           library=library_key)
+    cell = FlowQuery(*task)
+    subject = synthesized_benchmark(cell.circuit, cell.config.synthesize)
+    library = cached_library(cell.library, cell.config.vdd)
+    netlist = map_subject(subject, library, cell.config)
+    return price_mapped([(cell, netlist)])[0]
 
 
 def verbose_cell_line(flow: CircuitFlowResult) -> str:
@@ -161,9 +164,8 @@ def reproduce_table1(config: ExperimentConfig = PAPER_CONFIG,
     Args:
         config: operating point and pattern budget.
         benchmarks: optional subset of Table 1 names (default: all 12).
-        verbose: print one line per (circuit, library) — streamed as
-            each result lands when running serially, after the grid
-            completes when running with worker processes.
+        verbose: print one line per (circuit, library), streamed as
+            each result lands (completion order with worker processes).
         jobs: worker processes for the (circuit x library) grid; 1 runs
             serially in-process, 0/None uses every CPU.  Results are
             bit-identical for any value — tasks carry deterministic

@@ -11,10 +11,10 @@ circuit and axes (library x backend x vdd x frequency), it
 2. **prunes timing-infeasible frequencies before pricing** — a point
    whose clock period is shorter than the critical path is never
    simulated or priced,
-3. prices the surviving grid through the engine's caches — cached
-   points are reused verbatim; for the ``bitsim`` backend all misses of
-   one (library, vdd) group are priced with a single
-   :func:`repro.sim.estimator.estimate_many` call over one simulation,
+3. answers the survivors through the engine's one miss path
+   (:meth:`repro.serve.engine.Engine.answer`): cached points verbatim,
+   points in flight elsewhere coalesced, all misses priced in one
+   :func:`repro.experiments.flow.price_mapped` call,
 4. returns the non-dominated set under the query's objectives with
    per-point provenance (the same ``query_key`` a ``/v1/estimate`` of
    that point would carry, and how this serving obtained it).
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import __version__, registry
-from repro.experiments.flow import flow_from_power_report, mapped_netlist
+from repro.experiments.flow import mapped_netlist
 from repro.resilience import Deadline
 from repro.schema import (
     OPTIMIZE_OBJECTIVES,
@@ -53,9 +53,7 @@ from repro.schema import (
     PowerQuery,
     PowerQuoteReport,
 )
-from repro.sim.activity import simulation_stats
-from repro.sim.backends import BITSIM, get_backend
-from repro.sim.estimator import estimate_many
+from repro.sim.backends import get_backend
 from repro.timing import TimingReport, timing_report
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports this module's users
@@ -178,70 +176,21 @@ def normalize_query(query: OptimizeQuery) -> OptimizeQuery:
                         for key in query.libraries))
 
 
-def _price_group(engine: "Engine", netlist, queries: List[PowerQuery],
-                 backend: str, deadline: Deadline
-                 ) -> List[PowerQuoteReport]:
-    """Price one (library, backend, vdd) group of feasible points.
-
-    Engine-cached points (result LRU or store) are served as-is; the
-    misses are computed — for ``bitsim`` all at once with a single
-    :func:`estimate_many` over one (cached) simulation, otherwise one
-    :meth:`Engine.estimate` per point — and recorded back into the
-    engine's result cache and store.
-    """
-    quotes: List[Optional[PowerQuoteReport]] = [None] * len(queries)
-    misses: List[int] = []
-    for index, query in enumerate(queries):
-        cached = engine.cached_report(query)
-        if cached is not None:
-            quotes[index] = cached
-        else:
-            misses.append(index)
-    if not misses:
-        return quotes  # type: ignore[return-value]
-    deadline.check("estimate")
-    if backend != BITSIM:
-        for index in misses:
-            quotes[index] = engine.estimate(queries[index],
-                                            deadline=deadline)
-        return quotes  # type: ignore[return-value]
-    config = queries[misses[0]].config
-    start = time.perf_counter()
-    stats = simulation_stats(netlist, config.n_patterns, config.seed,
-                             config.state_patterns)
-    deadline.check("price")
-    reports = estimate_many(
-        netlist, stats,
-        [queries[index].config.power_parameters for index in misses])
-    elapsed_each = (time.perf_counter() - start) / len(misses)
-    for index, report in zip(misses, reports):
-        query = queries[index]
-        flow = flow_from_power_report(report, query.config,
-                                      circuit=query.circuit,
-                                      library=query.library)
-        quote = PowerQuoteReport.from_flow(
-            query, flow, server_version=__version__,
-            cache_status="cold", elapsed_s=elapsed_each)
-        engine.record_report(query, quote)
-        quotes[index] = quote
-    return quotes  # type: ignore[return-value]
-
-
 def run_optimize(engine: "Engine", query: OptimizeQuery,
                  deadline: Optional[Deadline] = None) -> OptimizeReport:
     """Evaluate one optimize query against a serving engine.
 
     Walks the (library, backend, vdd) combinations; each maps once,
-    runs (cached) static timing once, prunes infeasible frequencies
-    *before* any pricing, prices the survivors through the engine's
-    caches and finally keeps the non-dominated set.  The deadline is
-    checked between stages, exactly like :meth:`Engine.estimate`.
+    runs (cached) static timing once and prunes infeasible frequencies
+    *before* any pricing.  :meth:`Engine.answer` then serves every
+    survivor at once, and the non-dominated set is kept.  The deadline
+    is checked between stages, exactly like :meth:`Engine.estimate`.
     """
     start = time.perf_counter()
     query = normalize_query(query)
     if deadline is None:
         deadline = Deadline.after_ms(query.deadline_ms)
-    candidates: List[FrontierPoint] = []
+    points: List[PowerQuery] = []
     n_infeasible = 0
     for library_key in query.libraries:
         for backend in query.backends:
@@ -257,17 +206,15 @@ def run_optimize(engine: "Engine", query: OptimizeQuery,
                 feasible = [frequency for frequency in query.frequencies
                             if timing.feasible(frequency)]
                 n_infeasible += len(query.frequencies) - len(feasible)
-                if not feasible:
-                    continue
-                point_queries = [
+                points.extend(
                     PowerQuery(circuit=query.circuit, library=library_key,
                                config=replace(config, frequency=frequency))
-                    for frequency in feasible]
-                quotes = _price_group(engine, netlist, point_queries,
-                                      backend, deadline)
-                for frequency, quote in zip(feasible, quotes):
-                    candidates.append(frontier_point(
-                        quote, vdd, frequency, library_key, backend))
+                    for frequency in feasible)
+    quotes = engine.answer(points, deadline, start)
+    candidates = [frontier_point(quote, point.config.vdd,
+                                 point.config.frequency, point.library,
+                                 point.config.backend)
+                  for point, quote in zip(points, quotes)]
     frontier, n_dominated = pareto_frontier(candidates, query.objectives)
     return OptimizeReport(
         circuit=query.circuit,

@@ -224,9 +224,9 @@ class Client:
                        ) -> List[PowerQuoteReport]:
         """POST many queries to ``/v1/estimate_batch`` in one round trip.
 
-        The server groups the batch by activity (one simulation per
-        circuit/library/pattern-budget group, repriced per operating
-        point) and answers in input order — the wire twin of
+        The server prices every miss of the batch in one pass (one
+        simulation per mapped circuit and pattern budget, repriced per
+        operating point) and answers in input order — the wire twin of
         :func:`repro.sim.estimator.estimate_many`.
         """
         return reports_from_batch(

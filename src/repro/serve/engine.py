@@ -24,14 +24,17 @@ Every cache below the results counts into :mod:`repro.obs`; the engine
 snapshots the registry when it is built and ``/healthz`` reports the
 diff, i.e. the traffic since then.
 
-Batch queries (``POST /v1/estimate_batch`` ->
-:meth:`Engine.estimate_batch`) are grouped server-side by activity so
-a grid of operating points over one circuit pays for one simulation.
+Single queries, batches (``POST /v1/estimate_batch``) and the
+optimizer's surviving points take one miss path, :meth:`Engine.answer`,
+which prices every miss of a request in one
+:func:`repro.experiments.flow.price_mapped` call: a grid of operating
+points over one circuit pays for one simulation.
 
 Identical queries that arrive *while one is still computing* are
-coalesced: the followers block on the leader's future and are answered
-from its result (``cache_status: "coalesced"``) — N clients asking for
-the same cold cell cost one synthesis, not N.
+coalesced, whichever endpoint sent them: the followers block on the
+leader's future and are answered from its result (``cache_status:
+"coalesced"``) — N clients asking for the same cold cell cost one
+synthesis, not N.
 
 All keys are ``stable_hash`` content hashes (:mod:`repro.cache`), so
 an optional sweep-format result store can warm-start the engine and
@@ -45,7 +48,7 @@ import time
 from collections import Counter
 from concurrent.futures import Future, TimeoutError as FutureTimeout
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import __version__, faults, foundry, obs, registry, timing
 from repro.api import Session
@@ -55,8 +58,9 @@ from repro.experiments.config import ExperimentConfig
 from repro.resilience import Deadline
 from repro.experiments.flow import (
     MAPPED_NETLISTS,
-    estimate_mapped,
+    CircuitFlowResult,
     mapped_netlist,
+    price_mapped,
 )
 from repro.schema import (
     OptimizeQuery,
@@ -67,7 +71,6 @@ from repro.schema import (
     store_record,
 )
 from repro.sim import activity
-from repro.sim.activity import pricing_group_key
 from repro.sim.backends import available_backends
 
 #: Default capacity of the result LRU (finished reports are tiny: a
@@ -278,114 +281,26 @@ class Engine:
         query = self.normalize(query)
         if deadline is None:
             deadline = Deadline.after_ms(query.deadline_ms)
-        key = query.query_key
-
-        while True:
-            with self._lock:
-                self._revalidate_locked()
-                report = self._results.get(key)
-                if report is not None:
-                    self.counters["results.hot"] += 1
-                    return report.with_status(
-                        "hot", time.perf_counter() - start)
-                if self._store is not None:
-                    record = self._store_index.get(key)
-                    if record is not None:
-                        report = quote_from_record(
-                            record, server_version=__version__)
-                        self._results.put(key, report)
-                        self.counters["results.store"] += 1
-                        self.counters["results.hot"] += 1
-                        return report.with_status(
-                            "hot", time.perf_counter() - start)
-                leader_future = self._inflight.get(key)
-                if leader_future is None:
-                    leader_future = Future()
-                    self._inflight[key] = leader_future
-                    is_leader = True
-                    enrolled_generation = self._generation
-                else:
-                    is_leader = False
-                    self.counters["results.coalesced"] += 1
-
-            if is_leader:
-                break
-            try:
-                report = leader_future.result(
-                    timeout=deadline.remaining())
-            except FutureTimeout:
-                with self._lock:
-                    self.counters["deadline.exceeded"] += 1
-                raise DeadlineExceeded(
-                    "deadline exceeded while coalesced behind an "
-                    "identical in-flight query", stage="coalesce")
-            except DeadlineExceeded:
-                # The *leader's* budget ran out, not necessarily ours.
-                # The leader already removed itself from _inflight, so
-                # looping re-enters the lock and (budget permitting)
-                # makes us the new leader.
-                if deadline.expired():
-                    with self._lock:
-                        self.counters["deadline.exceeded"] += 1
-                    raise
-                continue
-            return report.with_status(
-                "coalesced", time.perf_counter() - start)
-
-        try:
-            report = self._compute(query, deadline)
-        except BaseException as exc:
-            with self._lock:
-                self._inflight.pop(key, None)
-                if isinstance(exc, DeadlineExceeded):
-                    self.counters["deadline.exceeded"] += 1
-            leader_future.set_exception(exc)
-            raise
-        with self._lock:
-            # A re-registration while we computed may have changed what
-            # the circuit/library names mean; a result built from the
-            # old definitions must not enter any cache or the store.
-            still_fresh = (registry.generation() == enrolled_generation
-                           and self._generation == enrolled_generation)
-            if still_fresh:
-                self._results.put(key, report)
-            self._inflight.pop(key, None)
-            self.counters["results.cold"] += 1
-        leader_future.set_result(report)
-        if self._store is not None and still_fresh:
-            record = store_record(query, report.result, report.elapsed_s)
-            self._store.append(record)
-            with self._lock:
-                if self._generation == enrolled_generation:
-                    self._store_index[key] = record
-        return report.with_status("cold", time.perf_counter() - start)
+        return self.answer([query], deadline, start)[0]
 
     def estimate_batch(self, queries: List[PowerQuery]
                        ) -> List[PowerQuoteReport]:
-        """Answer many queries, grouped so shared activity simulates once.
-
-        Queries are normalized, then served in activity-group order
-        (:func:`repro.sim.activity.pricing_group_key` — everything but
-        the pricing axes vdd/frequency/fanout): the first query of a
-        group pays the simulation, every following one is pure pricing
-        through the stats cache.  Results return in input order, each
-        with its own ``cache_status``/``elapsed_s``; a grid of N
-        operating points over one circuit therefore costs one
-        simulation, not N.
+        """Answer many queries like :meth:`estimate`, pricing all their
+        misses in one pass: a grid of N operating points over one
+        circuit costs one simulation and one ``estimate_many``.  The
+        tightest ``deadline_ms`` bounds the whole request from its
+        arrival; reports come back in input order.
         """
+        start = time.perf_counter()
+        budgets = [query.deadline_ms for query in queries
+                   if query.deadline_ms is not None]
+        deadline = Deadline.after_ms(min(budgets) if budgets else None)
         normalized = [self.normalize(query) for query in queries]
-        order = sorted(
-            range(len(normalized)),
-            key=lambda i: pricing_group_key(normalized[i].circuit,
-                                            normalized[i].library,
-                                            normalized[i].config))
-        reports: List[Optional[PowerQuoteReport]] = [None] * len(normalized)
-        for index in order:
-            reports[index] = self.estimate(normalized[index])
+        reports = self.answer(normalized, deadline, start)
         with self._lock:
             self.counters["batch.requests"] += 1
             self.counters["batch.queries"] += len(normalized)
-        return reports  # type: ignore[return-value]
+        return reports
 
     # -- design-space optimization ----------------------------------------
 
@@ -394,10 +309,10 @@ class Engine:
         """Answer one optimize query (see :func:`repro.optimize.
         run_optimize`): map + static-time each (library, vdd), prune
         timing-infeasible frequencies before pricing, price the
-        survivors through this engine's caches, return the Pareto
-        frontier.  Every priced point lands in the result cache and
-        the store, so the optimization warm-starts later single-point
-        queries — and vice versa."""
+        survivors through :meth:`answer`, return the Pareto frontier.
+        Every priced point lands in the result cache and the store, so
+        the optimization warm-starts later single-point queries — and
+        vice versa."""
         from repro.optimize import run_optimize
 
         report = run_optimize(self, query, deadline)
@@ -408,86 +323,140 @@ class Engine:
             self.counters["optimize.frontier"] += len(report.frontier)
         return report
 
-    def cached_report(self, query: PowerQuery
-                      ) -> Optional[PowerQuoteReport]:
-        """A warm answer for a normalized query, or ``None``.
+    # -- the one miss path -------------------------------------------------
 
-        Consults the result LRU and the store index only — never
-        computes, never blocks on in-flight leaders.  Counter
-        bookkeeping matches :meth:`estimate`'s warm path, so /healthz
-        accounting is consistent whichever path served a point.
+    def answer(self, queries: List[PowerQuery], deadline: Deadline,
+               start: float) -> List[PowerQuoteReport]:
+        """Answer normalized queries: the one miss path behind
+        :meth:`estimate`, :meth:`estimate_batch` and :meth:`optimize`.
+
+        Under the engine lock each query is served hot (the result LRU,
+        then the store index), attached to an identical in-flight
+        leader's future, or enrolled as a leader; :meth:`_lead` prices
+        and commits every leader at once, then all wait on their
+        futures.  A follower whose leader ran out of *its* budget goes
+        round again as a leader.  Reports are stamped with how they
+        were served and the time since ``start``.
         """
-        start = time.perf_counter()
-        key = query.query_key
-        with self._lock:
-            self._revalidate_locked()
-            report = self._results.get(key)
-            if report is not None:
-                self.counters["results.hot"] += 1
-                return report.with_status("hot",
-                                          time.perf_counter() - start)
-            record = self._store_index.get(key) \
-                if self._store is not None else None
-        if record is None:
-            return None
-        report = quote_from_record(record, server_version=__version__)
-        with self._lock:
-            if registry.generation() == self._generation:
-                self._results.put(key, report)
-            self.counters["results.store"] += 1
-            self.counters["results.hot"] += 1
-        return report.with_status("hot", time.perf_counter() - start)
-
-    def record_report(self, query: PowerQuery,
-                      report: PowerQuoteReport) -> None:
-        """Install a computed answer into the result cache and store.
-
-        The generation guard mirrors :meth:`estimate`'s: a result built
-        from definitions that were re-registered mid-computation must
-        not enter any cache or the store.
-        """
-        key = query.query_key
-        with self._lock:
-            still_fresh = registry.generation() == self._generation
-            if still_fresh:
-                self._results.put(key, report)
-            self.counters["results.cold"] += 1
-        if self._store is not None and still_fresh:
-            record = store_record(query, report.result, report.elapsed_s)
-            self._store.append(record)
+        reports: List[Optional[PowerQuoteReport]] = [None] * len(queries)
+        pending = list(range(len(queries)))
+        while pending:
+            leaders: Dict[str, PowerQuery] = {}
+            waiting: List[Tuple[int, Future, str]] = []
             with self._lock:
-                if self._generation == registry.generation():
-                    self._store_index[key] = record
+                self._revalidate_locked()
+                generation = self._generation
+                for index in pending:
+                    key = queries[index].query_key
+                    report = self._results.get(key)
+                    if report is None and key in self._store_index:
+                        report = quote_from_record(
+                            self._store_index[key],
+                            server_version=__version__)
+                        self._results.put(key, report)
+                        self.counters["results.store"] += 1
+                    if report is not None:
+                        self.counters["results.hot"] += 1
+                        reports[index] = report.with_status(
+                            "hot", time.perf_counter() - start)
+                    elif key in self._inflight:
+                        self.counters["results.coalesced"] += 1
+                        waiting.append((index, self._inflight[key],
+                                        "coalesced"))
+                    else:
+                        self._inflight[key] = Future()
+                        leaders[key] = queries[index]
+                        waiting.append((index, self._inflight[key],
+                                        "cold"))
+            if leaders:
+                self._lead(leaders, deadline, generation)
+            pending = []
+            for index, future, status in waiting:
+                try:
+                    report = future.result(timeout=deadline.remaining())
+                except FutureTimeout:
+                    with self._lock:
+                        self.counters["deadline.exceeded"] += 1
+                    raise DeadlineExceeded(
+                        "deadline exceeded while coalesced behind an "
+                        "identical in-flight query", stage="coalesce")
+                except DeadlineExceeded:
+                    # The *leader's* budget ran out, not necessarily
+                    # ours: budget permitting, lead the next round.
+                    if deadline.expired():
+                        with self._lock:
+                            self.counters["deadline.exceeded"] += 1
+                        raise
+                    pending.append(index)
+                    continue
+                reports[index] = report.with_status(
+                    status, time.perf_counter() - start)
+        return reports  # type: ignore[return-value]
 
-    # -- the cold path -----------------------------------------------------
-
-    def _compute(self, query: PowerQuery,
-                 deadline: Optional[Deadline] = None) -> PowerQuoteReport:
-        """Synthesize/map/estimate one canonicalized query (cold path).
-
-        Stage for stage the same calls as
-        :meth:`repro.api.Session.run`, so the result is bit-identical;
-        only the caching around the stages differs.  The deadline is
-        checked before each stage (characterize, map, estimate): an
-        expired budget aborts before starting the next stage, so an
-        aborted query has made no partial writes.
+    def _lead(self, leaders: Dict[str, PowerQuery], deadline: Deadline,
+              generation: int) -> None:
+        """Price the enrolled leaders (query key -> query) in one
+        :meth:`_price` call, commit them under the generation guard and
+        resolve their futures.  On failure the futures carry the
+        exception and nothing is written.
         """
+        batch = list(leaders.values())
         start = time.perf_counter()
-        if deadline is None:
-            deadline = Deadline()
-        faults.sleep_latency("engine.latency", context=query.circuit)
-        config = query.config
-        deadline.check("characterize")
-        library = registry.cached_library(query.library, config.vdd)
-        deadline.check("map")
-        netlist = mapped_netlist(query.circuit, library, config)
+        try:
+            flows = self._price(batch, deadline)
+        except BaseException as exc:
+            with self._lock:
+                futures = [self._inflight.pop(key) for key in leaders]
+                if isinstance(exc, DeadlineExceeded):
+                    self.counters["deadline.exceeded"] += 1
+            for future in futures:
+                future.set_exception(exc)
+            raise
+        elapsed = (time.perf_counter() - start) / len(batch)
+        quotes = [PowerQuoteReport.from_flow(
+            query, flow, server_version=__version__, cache_status="cold",
+            elapsed_s=elapsed) for query, flow in zip(batch, flows)]
+        with self._lock:
+            # A re-registration while we computed may have changed what
+            # the circuit/library names mean; results built from the old
+            # definitions must not enter any cache or the store.
+            still_fresh = (registry.generation() == generation
+                           and self._generation == generation)
+            futures = [self._inflight.pop(key) for key in leaders]
+            for key, quote in zip(leaders, quotes):
+                if still_fresh:
+                    self._results.put(key, quote)
+            self.counters["results.cold"] += len(quotes)
+        for future, quote in zip(futures, quotes):
+            future.set_result(quote)
+        if self._store is not None and still_fresh:
+            records = [store_record(query, quote.result, quote.elapsed_s)
+                       for query, quote in zip(batch, quotes)]
+            for record in records:
+                self._store.append(record)
+            with self._lock:
+                if self._generation == generation:
+                    self._store_index.update(zip(leaders, records))
+
+    def _price(self, queries: List[PowerQuery],
+               deadline: Deadline) -> List[CircuitFlowResult]:
+        """Map each query through the netlist memo, then price them all
+        in one :func:`~repro.experiments.flow.price_mapped` call — the
+        stages of :meth:`repro.api.Session.run`, so results are
+        bit-identical.  The deadline is checked before each stage
+        (characterize, map, estimate) and each simulation.
+        """
+        points = []
+        for query in queries:
+            faults.sleep_latency("engine.latency", context=query.circuit)
+            deadline.check("characterize")
+            library = registry.cached_library(query.library,
+                                              query.config.vdd)
+            deadline.check("map")
+            points.append((query, mapped_netlist(query.circuit, library,
+                                                 query.config)))
         deadline.check("estimate")
-        flow = estimate_mapped(netlist, config, circuit=query.circuit,
-                               library=query.library)
-        return PowerQuoteReport.from_flow(
-            query, flow, server_version=__version__,
-            cache_status="cold",
-            elapsed_s=time.perf_counter() - start)
+        return price_mapped(points, deadline)
 
     # -- registration passthroughs ----------------------------------------
 

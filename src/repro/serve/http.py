@@ -11,10 +11,11 @@ coalescing) engine.  Endpoints:
   optional ``deadline_ms`` field bounds the request server-side.
 * ``POST /v1/estimate_batch`` — body is a versioned envelope
   ``{"schema_version": 1, "queries": [...]}`` of up to
-  :data:`repro.schema.MAX_BATCH_QUERIES` queries; the engine groups
-  them by activity so a grid of operating points over one circuit
-  simulates once, and the response mirrors the envelope with one
-  report per query in input order.
+  :data:`repro.schema.MAX_BATCH_QUERIES` queries; the engine prices
+  every miss of the batch in one pass, so a grid of operating points
+  over one circuit simulates once, and the response mirrors the
+  envelope with one report per query in input order.  The tightest
+  ``deadline_ms`` among the queries bounds the whole request.
 * ``POST /v1/optimize`` — body is an
   :class:`~repro.schema.OptimizeQuery` (circuit + library/backend/vdd/
   frequency axes + objectives); the engine maps and static-times each

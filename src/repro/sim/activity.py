@@ -21,8 +21,8 @@ first half as a first-class cacheable artifact:
   is what lets a VDD sweep share one simulation.
 * :func:`pricing_group_key` hashes everything *except* the pure
   pricing axes (vdd, frequency, fanout) of a task/query — tasks that
-  collide on it share one simulation; the sweep runner and the serving
-  engine both group by it.
+  collide on it share one simulation; the sweep runner deals its work
+  out to workers by it.
 
 The cache is content-addressed, so it never needs invalidating: any
 change to the netlist, the pattern budget or the seed produces a fresh

@@ -18,7 +18,8 @@ simulation's statistics into a :class:`BoundPricing` — turns those
 statistics into the Eq. 1-5 components with whole-netlist numpy
 reductions, so repricing a circuit at a new operating point costs
 microseconds.  :func:`estimate_many` broadcasts that over an array of
-``(vdd, frequency, fanout)`` points in one pass.
+``(vdd, frequency, fanout)`` points in one pass;
+:func:`estimate_circuit_power` is the same call at a single point.
 
 Every reduction reproduces the historical per-gate Python loops bit
 for bit: elementwise terms are formed in the same association order
@@ -215,18 +216,6 @@ def switched_capacitance(netlist: MappedNetlist) -> Dict[str, float]:
     return caps
 
 
-def _ordered_sum(terms: np.ndarray) -> float:
-    """Strict left-to-right float sum of a 1-D array.
-
-    ``np.add.accumulate`` is a sequential fold, so this reproduces the
-    historical per-gate ``+=`` accumulation bit for bit; numpy's
-    pairwise ``np.sum`` would round differently.
-    """
-    if terms.size == 0:
-        return 0.0
-    return float(np.add.accumulate(terms)[-1])
-
-
 #: Attribute memoizing the pricing model on a netlist instance.
 _MODEL_ATTR = "_repro_pricing_model"
 
@@ -313,26 +302,6 @@ class BoundPricing:
         self.i_off = total_i_off
         self.i_gate = total_i_gate
 
-    def dynamic_power(self, frequency: float, vdd: float) -> float:
-        """Eq. 2 summed over the netlist (one vector pass)."""
-        return _ordered_sum((self.activity_caps * frequency) * vdd**2)
-
-    def report(self, params: PowerParameters) -> CircuitPowerReport:
-        """The full Eq. 1-5 report at one operating point."""
-        model = self.model
-        p_dynamic = self.dynamic_power(params.frequency, params.vdd)
-        return CircuitPowerReport(
-            circuit=model.netlist.name,
-            library=model.netlist.library.name,
-            gate_count=model.netlist.gate_count,
-            delay=model.delay,
-            p_dynamic=p_dynamic,
-            p_short_circuit=SHORT_CIRCUIT_FRACTION * p_dynamic,
-            p_static=self.i_off * params.vdd,
-            p_gate_leak=self.i_gate * params.vdd,
-            n_patterns=self.stats.n_patterns,
-        )
-
 
 def leakage_currents(netlist: MappedNetlist,
                      stats: SimulationStats) -> Tuple[float, float]:
@@ -377,7 +346,10 @@ def estimate_circuit_power(netlist: MappedNetlist,
         params = PowerParameters(vdd=library.tech.vdd)
     if stats is None:
         stats = simulation_stats(netlist, n_patterns, seed, state_patterns)
-    return PricingModel.for_netlist(netlist).bind(stats).report(params)
+    # ``netlists`` lets the point's supply differ from the netlist's
+    # own: it still prices on this netlist's tables.
+    return estimate_many(netlist, stats, [params],
+                         netlists={params.vdd: netlist})[0]
 
 
 #: Accepted operating-point forms of :func:`estimate_many`.

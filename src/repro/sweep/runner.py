@@ -10,11 +10,11 @@ pure pricing knobs vdd/frequency/fanout) and fans the groups out over
 worker processes via
 :func:`repro.experiments.parallel.parallel_map_stream`.
 
-Each group runs **one** bit-parallel simulation (one per distinct
-mapped-netlist hash, should the vdd axis ever change the mapping) and
-re-prices every operating point of the group through the vectorized
-:func:`repro.sim.estimator.estimate_many` — bit-identical to executing
-each point separately, which the runner tests assert.  Finished points
+Each group maps once per supply and is priced by
+:func:`repro.experiments.flow.price_mapped` — **one** bit-parallel
+simulation per distinct mapped-netlist hash, one vectorized repricing
+per netlist, bit-identical to pricing each point alone (asserted by
+the runner tests).  Finished points
 are appended to the store *as their group completes* (grid order
 serially, completion order across workers — the store is
 key-addressed, so append order is irrelevant to resume), and a killed
@@ -37,17 +37,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.experiments.flow import (
-    estimate_mapped,
-    flow_from_power_report,
-    mapped_netlist,
-)
+from repro.experiments.flow import mapped_netlist, price_mapped
 from repro.registry import cached_library
-from repro.sim.activity import (
-    netlist_activity_key,
-    pricing_group_key,
-    simulation_stats,
-)
+from repro.sim.activity import pricing_group_key
 from repro.sweep.spec import SweepSpec, SweepTask
 from repro.sweep.store import ResultStore, record_for
 
@@ -63,20 +55,6 @@ def _task_netlist(task: SweepTask):
     return mapped_netlist(task.circuit, library, task.config)
 
 
-def run_sweep_task(task: SweepTask) -> Dict[str, Any]:
-    """Execute one sweep point: picklable task -> store record.
-
-    The per-point path; the grouped runner is bit-identical to it (and
-    asserted so in tests).  Activity still comes from the stats cache,
-    so even this path never re-simulates a budget it has seen.
-    """
-    start = time.perf_counter()
-    netlist = _task_netlist(task)
-    flow = estimate_mapped(netlist, task.config, circuit=task.circuit,
-                           library=task.library)
-    return record_for(task, flow, time.perf_counter() - start)
-
-
 # -- activity grouping --------------------------------------------------------
 
 def activity_group_key(task: SweepTask) -> str:
@@ -84,9 +62,9 @@ def activity_group_key(task: SweepTask) -> str:
 
     Everything of the task except the pure pricing axes (vdd,
     frequency, fanout); see
-    :func:`repro.sim.activity.pricing_group_key`.  Within a group the
-    vdd axis is additionally checked against the per-supply mapped
-    netlists' activity hashes — the rare supply point that maps to a
+    :func:`repro.sim.activity.pricing_group_key`.  Within a group
+    :func:`repro.experiments.flow.price_mapped` splits the per-supply
+    netlists by activity hash — the rare supply point that maps to a
     different structure is simulated separately.
     """
     return pricing_group_key(task.circuit, task.library, task.config)
@@ -103,12 +81,11 @@ def group_tasks(tasks: Sequence[SweepTask]) -> List[List[SweepTask]]:
 def run_sweep_group(tasks: Sequence[SweepTask]) -> Dict[str, Any]:
     """Execute one activity group: one simulation, many pricings.
 
-    Returns ``{"records": [...], "simulations": n}`` with one store
-    record per task (task order) and the number of bit-parallel
-    simulations this call actually executed (0 when the activity cache
-    was already warm).  Non-bitsim backends fall back to the per-point
-    path — their estimates are not a closed-form pricing of shared
-    statistics — but still share the cached activity.
+    Maps the group (once per supply), then prices every point in one
+    :func:`repro.experiments.flow.price_mapped` call.  Returns
+    ``{"records": [...], "simulations": n}``: one store record per task
+    (task order) and the bit-parallel simulations this call actually
+    executed (0 when the activity cache was already warm).
     """
     from repro import faults
 
@@ -120,48 +97,13 @@ def run_sweep_group(tasks: Sequence[SweepTask]) -> Dict[str, Any]:
 
     start = time.perf_counter()
     before = obs.snapshot()
-    config = tasks[0].config
-    if config.backend != "bitsim":
-        records = [run_sweep_task(task) for task in tasks]
-        return {"records": records,
-                "simulations": obs.diff(before)["activity.computes"]}
-
-    from repro.sim.estimator import estimate_many
-
-    netlists = {}
-    for task in tasks:
-        vdd = task.config.vdd
-        if vdd not in netlists:
-            netlists[vdd] = _task_netlist(task)
-    # The vdd axis can (rarely) change the mapping; points whose
-    # netlist hashes differently get their own simulation.
-    subgroups: "Dict[str, List[SweepTask]]" = {}
-    for task in tasks:
-        key = netlist_activity_key(netlists[task.config.vdd])
-        subgroups.setdefault(key, []).append(task)
-
-    records: Dict[str, Dict[str, Any]] = {}
-    for subtasks in subgroups.values():
-        base = netlists[subtasks[0].config.vdd]
-        stats = simulation_stats(base, config.n_patterns, config.seed,
-                                 config.state_patterns)
-        points = [task.config.power_parameters for task in subtasks]
-        reports = estimate_many(base, stats, points, netlists=netlists)
-        for task, report in zip(subtasks, reports):
-            flow = flow_from_power_report(report, task.config,
-                                          circuit=task.circuit,
-                                          library=task.library)
-            records[task.task_key] = record_for(task, flow, 0.0)
-
+    # The netlist memo maps each supply of the group once.
+    flows = price_mapped([(task, _task_netlist(task)) for task in tasks])
     # One wall-clock measurement, apportioned evenly: per-point times
     # are not separable once the simulation is shared.
     per_point = (time.perf_counter() - start) / max(1, len(tasks))
-    ordered = []
-    for task in tasks:
-        record = records[task.task_key]
-        record["elapsed_s"] = per_point
-        ordered.append(record)
-    return {"records": ordered,
+    return {"records": [record_for(task, flow, per_point)
+                        for task, flow in zip(tasks, flows)],
             "simulations": obs.diff(before)["activity.computes"]}
 
 

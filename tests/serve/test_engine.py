@@ -195,19 +195,54 @@ class TestEngineBatch:
         assert obs.diff(before)["activity.computes"] == 2
 
 
+    def test_batch_is_bounded_by_one_deadline(self, tiny_config,
+                                              tmp_path):
+        """The tightest deadline_ms bounds the whole request from its
+        arrival: three points that each price well inside the budget
+        overrun it together, and the aborted batch writes nothing."""
+        from dataclasses import replace
+
+        from repro.errors import DeadlineExceeded
+        from repro.schema import PowerQuery
+        from repro.sweep.store import open_store
+
+        path = tmp_path / "serve.jsonl"
+        engine = Engine(Session(tiny_config), store=path)
+        original = engine._price
+
+        def slow_price(queries, deadline):
+            time.sleep(0.08 * len(queries))
+            return original(queries, deadline)
+
+        engine._price = slow_price
+        queries = [PowerQuery("t481", "cmos",
+                              replace(tiny_config, frequency=frequency),
+                              deadline_ms=budget)
+                   for frequency, budget in ((0.5e9, 1000.0),
+                                             (1.0e9, 150.0),
+                                             (2.0e9, None))]
+        with pytest.raises(DeadlineExceeded):
+            engine.estimate_batch(queries)
+        assert len(engine._results) == 0
+        assert engine._store_index == {}
+        assert open_store(path).records() == []
+        assert engine.counters["deadline.exceeded"] == 1
+        assert not engine._inflight
+
+
 class TestEngineCoalescing:
     def test_identical_inflight_queries_coalesce(self, tiny_config):
         engine = Engine(Session(tiny_config))
         release = threading.Event()
         entered = threading.Event()
-        original = engine._compute
+        original = engine._price
 
-        def slow_compute(query, deadline=None):
+        def slow_price(queries, deadline):
             entered.set()
             release.wait(timeout=30)
-            return original(query, deadline)
+            return original(queries, deadline)
 
-        engine._compute = slow_compute
+        engine._price = slow_price
         results = {}
 
         def leader():
@@ -236,6 +271,76 @@ class TestEngineCoalescing:
         assert results["follower"].result == results["leader"].result
         assert engine.counters["results.cold"] == 1
         assert engine.counters["results.coalesced"] == 1
+
+    def test_batch_and_optimize_coalesce_onto_a_leader(self, tiny_config,
+                                                        monkeypatch):
+        """A batch and an optimize that both contain an in-flight key
+        wait for its leader instead of pricing it again."""
+        from repro.schema import OptimizeQuery, PowerQuery
+        from repro.serve import engine as engine_module
+
+        engine = Engine(Session(tiny_config))
+        priced = []
+        real_price_mapped = engine_module.price_mapped
+
+        def spy(points, deadline=None):
+            priced.extend(query.query_key for query, _ in points)
+            return real_price_mapped(points, deadline)
+
+        monkeypatch.setattr(engine_module, "price_mapped", spy)
+        release = threading.Event()
+        entered = threading.Event()
+        original = engine._price
+
+        def held_price(queries, deadline):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=30)
+            return original(queries, deadline)
+
+        engine._price = held_price
+        key = engine.normalize(
+            PowerQuery("t481", "generalized", tiny_config)).query_key
+        results = {}
+
+        def leader():
+            results["leader"] = engine.estimate_request("t481",
+                                                        "generalized")
+
+        def batch():
+            results["batch"] = engine.estimate_batch([
+                PowerQuery("t481", "generalized", tiny_config),
+                PowerQuery("t481", "cmos", tiny_config)])
+
+        def optimize():
+            results["optimize"] = engine.optimize(OptimizeQuery(
+                circuit="t481", libraries=("generalized",),
+                vdds=(tiny_config.vdd,),
+                frequencies=(tiny_config.frequency,
+                             2 * tiny_config.frequency),
+                config=tiny_config))
+
+        first = threading.Thread(target=leader)
+        first.start()
+        assert entered.wait(timeout=30)
+        others = [threading.Thread(target=batch),
+                  threading.Thread(target=optimize)]
+        for thread in others:
+            thread.start()
+        for _ in range(30000):
+            if engine.counters["results.coalesced"] >= 2:
+                break
+            time.sleep(0.001)
+        release.set()
+        for thread in [first] + others:
+            thread.join(timeout=60)
+        assert engine.counters["results.coalesced"] == 2
+        assert priced.count(key) == 1
+        assert results["batch"][0].cache_status == "coalesced"
+        assert results["batch"][0].result == results["leader"].result
+        statuses = {point.frequency: point.cache_status
+                    for point in results["optimize"].frontier}
+        assert statuses[tiny_config.frequency] == "coalesced"
 
 
 class TestEngineStoreIntegration:
@@ -344,21 +449,21 @@ class TestEngineInvalidation:
                         store=tmp_path / "serve.jsonl")
         registry.register_circuit(
             "racy", lambda: ripple_adder_circuit(3, name="racy"))
-        original = engine._compute
+        original = engine._price
 
-        def compute_and_rereg(query, deadline=None):
-            report = original(query, deadline)
+        def price_and_rereg(queries, deadline):
+            flows = original(queries, deadline)
             # The re-registration lands while the leader is "still
             # computing" (before it re-takes the engine lock).
             registry.register_circuit(
                 "racy", lambda: parity_tree_circuit(8, name="racy"),
                 replace=True)
-            return report
+            return flows
 
-        engine._compute = compute_and_rereg
+        engine._price = price_and_rereg
         try:
             stale = engine.estimate_request("racy", "cmos")
-            engine._compute = original
+            engine._price = original
             fresh = engine.estimate_request("racy", "cmos")
             direct = Session(tiny_config).run("racy", "cmos")
         finally:

@@ -325,6 +325,27 @@ class TestDeadlines:
         direct = Session(TINY).run("t481")["cmos"]
         assert report.result == direct
 
+    def test_batch_deadline_bounds_the_whole_request(self, live_server):
+        """A batch has one deadline: three points that each fit the
+        budget alone overrun it together, and the 504 wrote nothing."""
+        from dataclasses import replace
+
+        server = live_server()
+        client = _fast_client(server.url)
+        faults.activate("engine.latency:ms=80,times=3")
+        queries = [PowerQuery("t481", "cmos",
+                              replace(TINY, frequency=frequency),
+                              deadline_ms=150)
+                   for frequency in (0.5e9, 1.0e9, 2.0e9)]
+        with pytest.raises(ServerError) as excinfo:
+            client.estimate_batch(queries)
+        assert excinfo.value.status == 504
+        assert excinfo.value.code == "deadline_exceeded"
+        faults.deactivate()
+        reports = client.estimate_batch(
+            [replace(query, deadline_ms=None) for query in queries])
+        assert [r.cache_status for r in reports] == ["cold"] * 3
+
     def test_generous_deadline_is_harmless(self, live_server):
         server = live_server()
         client = _fast_client(server.url)

@@ -8,14 +8,21 @@ import pytest
 
 from repro.api import Session
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.flow import price_mapped
 from repro.sim import activity
 from repro.sweep.runner import (
+    _task_netlist,
     activity_group_key,
     group_tasks,
-    run_sweep_task,
 )
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import flow_result
+from repro.sweep.store import flow_result, record_for
+
+
+def _per_point(task):
+    """One point priced alone through the shared routine."""
+    (flow,) = price_mapped([(task, _task_netlist(task))])
+    return record_for(task, flow, 0.0)
 
 PATTERNS = 2048
 
@@ -80,7 +87,7 @@ class TestGroupedExecution:
         store = report.store
         for task in spec.expand():
             grouped = store.get(task.task_key)
-            per_point = run_sweep_task(task)
+            per_point = _per_point(task)
             assert grouped["result"] == per_point["result"]
             assert flow_result(grouped) == flow_result(per_point)
 
@@ -95,7 +102,7 @@ class TestGroupedExecution:
         assert report.simulations <= 1
         for task in spec.expand():
             stored = report.store.get(task.task_key)
-            per_point = run_sweep_task(task)
+            per_point = _per_point(task)
             assert stored["result"] == per_point["result"]
 
 

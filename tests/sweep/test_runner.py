@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.table1 import reproduce_table1
-from repro.sweep.runner import run_sweep, run_sweep_task
+from repro.experiments.flow import price_mapped
+from repro.sweep.runner import _task_netlist, run_sweep
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import JsonlResultStore, flow_result
+from repro.sweep.store import JsonlResultStore, flow_result, record_for
 
 #: Tiny but non-degenerate budget; matches the parallel-runner tests.
 PATTERNS = 2048
@@ -36,7 +37,8 @@ class TestRunAndResume:
         tasks = spec.expand()
         # Pre-seed two of the four points.
         for task in tasks[:2]:
-            store.append(run_sweep_task(task))
+            (flow,) = price_mapped([(task, _task_netlist(task))])
+            store.append(record_for(task, flow, 0.0))
         report = run_sweep(spec, store)
         assert (report.total, report.cached, report.executed) == (4, 2, 2)
         assert store.keys() == {task.task_key for task in tasks}
