@@ -247,6 +247,7 @@ def main(argv=None) -> int:
     section = {
         "version": __version__,
         "quick": args.quick,
+        "cpu_count": os.cpu_count(),
         "n_patterns": config.n_patterns,
         "engine": bench_engine(config, circuit, "cntfet-generalized"),
         "http": bench_http(config, circuit, "cntfet-generalized"),

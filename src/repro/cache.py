@@ -99,34 +99,122 @@ DEFAULT_FLIGHT_WAIT_S = 600.0
 _DEFAULT_ROOT = Path.home() / ".cache" / "repro-ambipolar"
 
 
-def _normalize(value: Any) -> Any:
-    """Reduce a value to a JSON-stable structure for hashing."""
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+#: Per dataclass type: ``('"name":', name)`` of each field, sorted.
+_FIELD_KEYS: Dict[type, tuple] = {}
+
+
+class Canonical:
+    """A value already reduced to its :func:`canonical_json` text.
+
+    :func:`canonical_json` embeds the text verbatim, so a key that
+    contains an already-encoded object does not encode it again.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def canonical(value: Any) -> Canonical:
+    """A frozen dataclass's :func:`canonical_json`, encoded once per
+    instance (the memo lives in the instance, so it is never shared
+    between values that merely compare equal)."""
+    memo = value.__dict__.get("_canonical")
+    if memo is None:
+        memo = value.__dict__["_canonical"] = Canonical(
+            canonical_json(value))
+    return memo
+
+
+def canonical_json(value: Any) -> str:
+    """The compact, key-sorted JSON text :func:`stable_hash` hashes.
+
+    Dataclasses become objects of their fields, dict keys become
+    ``str(key)``, tuples become lists, floats become the string of
+    their ``repr`` (which round-trips doubles exactly and keeps ``1``,
+    ``1.0`` and ``np.float64(1.0)`` apart), anything else that is not
+    a JSON scalar becomes the string of its ``repr``.  Strings are
+    ASCII-escaped.  Plain types take a fast path on their exact type.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float:
+        return '"' + _float_repr(value) + '"'
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return _int_repr(value)
+    if value is None:
+        return "null"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([canonical_json(item) for item in value]) + "]"
+    if kind is dict:
+        return _object_json(value)
+    if kind is Canonical:
+        return value.text
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {field.name: _normalize(getattr(value, field.name))
-                for field in dataclasses.fields(value)}
+        return _fields_json(value)
     if isinstance(value, dict):
-        return {str(k): _normalize(v) for k, v in sorted(value.items())}
+        return _object_json(value)
     if isinstance(value, (list, tuple)):
-        return [_normalize(v) for v in value]
+        return "[" + ",".join([canonical_json(item) for item in value]) + "]"
     if isinstance(value, float):
-        # repr round-trips doubles exactly; hashing the text avoids any
-        # JSON float-formatting ambiguity.
-        return repr(value)
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    return repr(value)
+        return _encode_str(repr(value))
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):
+        return _int_repr(value)
+    return _encode_str(repr(value))
+
+
+def _object_json(value: Dict[Any, Any]) -> str:
+    items = sorted(value.items())
+    if not all(type(key) is str for key, _ in items):
+        items = sorted({str(key): item for key, item in items}.items())
+    return "{" + ",".join([_encode_str(key) + ":" + canonical_json(item)
+                           for key, item in items]) + "}"
+
+
+def _fields_json(value: Any) -> str:
+    kind = type(value)
+    keys = _FIELD_KEYS.get(kind)
+    if keys is None:
+        keys = _FIELD_KEYS[kind] = tuple(
+            (_encode_str(name) + ":", name) for name in sorted(
+                field.name for field in dataclasses.fields(value)))
+    parts = []
+    for key, name in keys:
+        # The scalar fast paths of canonical_json, inlined: most
+        # fields are plain floats, ints and strings.
+        item = getattr(value, name)
+        item_kind = type(item)
+        if item_kind is float:
+            parts.append(key + '"' + _float_repr(item) + '"')
+        elif item_kind is int:
+            parts.append(key + _int_repr(item))
+        elif item_kind is str:
+            parts.append(key + _encode_str(item))
+        else:
+            parts.append(key + canonical_json(item))
+    return "{" + ",".join(parts) + "}"
 
 
 def stable_hash(value: Any) -> str:
     """Deterministic content hash of dataclasses / plain structures.
 
-    Two values hash equal iff their normalized JSON forms are equal, so
-    e.g. two separately-constructed but identical ``TechnologyParams``
-    share cache entries while any field change produces a fresh key.
+    Two values hash equal iff their :func:`canonical_json` texts are
+    equal, so e.g. two separately-constructed but identical
+    ``TechnologyParams`` share cache entries while any field change
+    produces a fresh key.
     """
-    payload = json.dumps(_normalize(value), sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+    return hashlib.sha256(
+        canonical_json(value).encode("utf-8")).hexdigest()[:32]
 
 
 def _entry_checksum(value: Any) -> str:

@@ -16,6 +16,7 @@ never mix backends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict
 
@@ -35,6 +36,15 @@ DEFAULT_STATE_PATTERNS = 65_536
 _ACCEPTS = {"float": ((int, float, np.integer, np.floating), "a number"),
             "int": ((int, np.integer), "an integer"),
             "bool": (bool, "a boolean"), "str": (str, "a string")}
+
+
+def is_finite(value: Any) -> bool:
+    """``math.isfinite`` that calls an int past the float range
+    infinite instead of raising ``OverflowError``."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,15 @@ class ExperimentConfig:
                 raise ExperimentError(
                     f"ExperimentConfig field {name!r} must be "
                     f"{expected}, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            if not is_finite(getattr(self, name)):
+                raise ExperimentError(
+                    f"ExperimentConfig field {name!r} must be a finite "
+                    f"number, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ExperimentError(
+                f"ExperimentConfig field 'seed' must be a non-negative "
+                f"integer, got {self.seed!r}")
         if self.n_patterns < 1:
             raise ExperimentError(
                 f"n_patterns must be >= 1, got {self.n_patterns}")
@@ -122,6 +141,11 @@ class ExperimentConfig:
 #: (name, accepted types, description) of every field, in order.
 _FIELD_CHECKS = tuple((field.name, *_ACCEPTS[field.type])
                       for field in fields(ExperimentConfig))
+
+#: Fields that must also be finite (JSON bodies can carry NaN and
+#: Infinity, which no operating point is).
+_FLOAT_FIELDS = tuple(field.name for field in fields(ExperimentConfig)
+                      if field.type == "float")
 
 #: The paper's configuration.
 PAPER_CONFIG = ExperimentConfig()

@@ -165,15 +165,17 @@ def normalize_query(query: OptimizeQuery) -> OptimizeQuery:
 
     Circuit and library names resolve through the registry; backends
     are validated against the backend registry.  Aliases that
-    canonicalize to the same library collapse to one axis entry.
+    canonicalize to the same library collapse to one axis entry.  An
+    already canonical query comes back as itself.
     """
     for backend in query.backends:
         get_backend(backend)  # raises with the known choices
-    return replace(
-        query,
-        circuit=registry.canonical_circuit(query.circuit),
-        libraries=tuple(registry.canonical_library(key)
-                        for key in query.libraries))
+    circuit = registry.canonical_circuit(query.circuit)
+    libraries = tuple(registry.canonical_library(key)
+                      for key in query.libraries)
+    if circuit == query.circuit and libraries == query.libraries:
+        return query
+    return replace(query, circuit=circuit, libraries=libraries)
 
 
 def run_optimize(engine: "Engine", query: OptimizeQuery,

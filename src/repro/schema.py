@@ -19,7 +19,8 @@ Three consumers share it, on purpose:
   backends and the report pivots;
 * the **service** (:mod:`repro.serve`) — ``POST /v1/estimate`` bodies
   parse with :meth:`PowerQuery.from_dict` and responses render with
-  :meth:`PowerQuoteReport.to_dict`.
+  :meth:`PowerQuoteReport.to_dict` (sent as :func:`report_json`: the
+  same bytes, from an encoding made once per answer).
 
 Serialization is strict both ways: unknown fields are rejected (a typo
 never silently becomes a default), floats ride through JSON by value
@@ -30,12 +31,14 @@ rather than misparsed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+import json
+import math
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cache import stable_hash
+from repro.cache import canonical, stable_hash
 from repro.errors import ExperimentError
-from repro.experiments.config import ExperimentConfig, PAPER_CONFIG
+from repro.experiments.config import ExperimentConfig, PAPER_CONFIG, is_finite
 from repro.experiments.flow import CircuitFlowResult
 
 #: Version of the query/response wire layout.  Bump when a field is
@@ -95,6 +98,42 @@ def _flow_from_payload(data: Any, what: str) -> CircuitFlowResult:
     return CircuitFlowResult(**data)
 
 
+def _check_deadline(deadline_ms: Any, what: str) -> None:
+    """``deadline_ms`` is absent or a positive, finite number."""
+    if deadline_ms is not None and (
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not deadline_ms > 0 or not is_finite(deadline_ms)):
+        raise ExperimentError(
+            f"{what} field 'deadline_ms' must be a positive finite "
+            f"number, got {deadline_ms!r}")
+
+
+def _wire_config(data: Dict[str, Any],
+                 default_config: Optional[ExperimentConfig]
+                 ) -> ExperimentConfig:
+    """The configuration a request body asks for.
+
+    An omitted (or ``null``) ``config`` takes ``default_config`` — the
+    serving session's — else the paper's.  A sent one may not ask for
+    more patterns than the paper's budget: the engine allocates the
+    pattern words before any deadline check, so the budget bounds what
+    one request can make the server hold.  Local sweeps keep any
+    budget.
+    """
+    config_data = data.get("config")
+    if config_data is None:
+        return default_config if default_config is not None \
+            else PAPER_CONFIG
+    config = ExperimentConfig.from_dict(config_data)
+    if config.n_patterns > PAPER_CONFIG.n_patterns:
+        raise ExperimentError(
+            f"ExperimentConfig field 'n_patterns' is {config.n_patterns}; "
+            f"a request may simulate at most {PAPER_CONFIG.n_patterns} "
+            f"patterns — run larger budgets as a local sweep")
+    return config
+
+
 def _check_schema_version(data: Dict[str, Any], what: str) -> None:
     version = data.get("schema_version", SCHEMA_VERSION)
     if not isinstance(version, int) or version < 1:
@@ -130,12 +169,16 @@ class PowerQuery:
 
     @property
     def query_key(self) -> str:
-        return stable_hash({
-            "schema": TASK_SCHEMA_VERSION,
-            "circuit": self.circuit,
-            "library": self.library,
-            "config": self.config.to_dict(),
-        })
+        """Computed once per instance (the query is frozen)."""
+        key = self.__dict__.get("_query_key")
+        if key is None:
+            key = self.__dict__["_query_key"] = stable_hash({
+                "schema": TASK_SCHEMA_VERSION,
+                "circuit": self.circuit,
+                "library": self.library,
+                "config": canonical(self.config),
+            })
+        return key
 
     def to_dict(self) -> Dict[str, Any]:
         """Strict plain-JSON form (the ``POST /v1/estimate`` body)."""
@@ -155,8 +198,9 @@ class PowerQuery:
                   ) -> "PowerQuery":
         """Inverse of :meth:`to_dict`.
 
-        Rejects unknown fields and newer schema versions.  ``config``
-        may be omitted (or ``None``): the query then runs at
+        Rejects unknown fields, newer schema versions, a non-finite
+        ``deadline_ms`` and a pattern budget past the paper's.
+        ``config`` may be omitted (or ``None``): the query then runs at
         ``default_config`` — the serving session's configuration —
         which is what lets a bare ``{"circuit": ..., "library": ...}``
         body do the right thing against a ``repro serve --fast`` server.
@@ -174,21 +218,10 @@ class PowerQuery:
                     f"power query field {name!r} must be a non-empty "
                     f"string")
         deadline_ms = data.get("deadline_ms")
-        if deadline_ms is not None:
-            if (isinstance(deadline_ms, bool)
-                    or not isinstance(deadline_ms, (int, float))
-                    or deadline_ms <= 0):
-                raise ExperimentError(
-                    f"power query field 'deadline_ms' must be a positive "
-                    f"number, got {deadline_ms!r}")
-        config_data = data.get("config")
-        if config_data is None:
-            config = default_config if default_config is not None \
-                else PAPER_CONFIG
-        else:
-            config = ExperimentConfig.from_dict(config_data)
+        _check_deadline(deadline_ms, "power query")
         return cls(circuit=data["circuit"], library=data["library"],
-                   config=config, deadline_ms=deadline_ms)
+                   config=_wire_config(data, default_config),
+                   deadline_ms=deadline_ms)
 
 
 @dataclass(frozen=True)
@@ -231,13 +264,40 @@ class PowerQuoteReport:
 
     def with_status(self, cache_status: str,
                     elapsed_s: float) -> "PowerQuoteReport":
-        """A copy re-stamped for one particular serving of the answer."""
+        """A copy re-stamped for one particular serving of the answer.
+
+        Only the two per-serving fields change, so the copy shares the
+        answer's encoded :meth:`stable_json`.
+        """
         if cache_status not in CACHE_STATUSES:
             raise ExperimentError(
                 f"bad cache_status {cache_status!r}; expected one of "
                 f"{', '.join(CACHE_STATUSES)}")
-        return replace(self, cache_status=cache_status,
-                       elapsed_s=elapsed_s)
+        stamped = object.__new__(type(self))
+        stamped.__dict__.update(self.__dict__, cache_status=cache_status,
+                                elapsed_s=elapsed_s)
+        return stamped
+
+    def stable_json(self) -> Tuple[bytes, bytes]:
+        """``json.dumps(self.to_dict())`` in UTF-8, cut around the values
+        of the two per-serving fields: the bytes up to the
+        ``cache_status`` value and those after the ``elapsed_s`` value.
+
+        Encoded once per answer and shared by its :meth:`with_status`
+        copies; :func:`report_json` splices the two values in.
+        """
+        parts = self.__dict__.get("_stable_json")
+        if parts is None:
+            payload = self.to_dict()
+            names = list(payload)
+            at = names.index("cache_status")
+            head = json.dumps({name: payload[name] for name in names[:at]})
+            tail = json.dumps({name: payload[name]
+                               for name in names[at + 2:]})
+            parts = self.__dict__["_stable_json"] = (
+                (head[:-1] + ', "cache_status": ').encode("utf-8"),
+                (", " + tail[1:]).encode("utf-8"))
+        return parts
 
     def to_dict(self) -> Dict[str, Any]:
         """Strict plain-JSON form (the ``POST /v1/estimate`` response).
@@ -321,7 +381,7 @@ class PowerQuoteReport:
             result=flow,
             config=query.config,
             server_version=server_version,
-            config_hash=stable_hash(query.config),
+            config_hash=stable_hash(canonical(query.config)),
             query_key=query.query_key,
             cache_status=cache_status,
             elapsed_s=elapsed_s,
@@ -374,6 +434,48 @@ def batch_response_payload(reports: List[PowerQuoteReport]
     """The ``/v1/estimate_batch`` response body (one report per query)."""
     return {"schema_version": SCHEMA_VERSION,
             "reports": [report.to_dict() for report in reports]}
+
+
+# -- wire bytes ----------------------------------------------------------------
+#
+# What the server sends: exactly ``json.dumps`` of the ``to_dict`` /
+# ``batch_response_payload`` forms, built from each answer's
+# once-encoded :meth:`PowerQuoteReport.stable_json` instead.
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+_ELAPSED_KEY = b', "elapsed_s": '
+
+#: ``json.dumps(batch_response_payload([]))`` up to the list's ``[``.
+_BATCH_HEAD = json.dumps({"schema_version": SCHEMA_VERSION,
+                          "reports": []})[:-2].encode("utf-8")
+
+
+def _json_scalar(value: Any) -> bytes:
+    """``json.dumps(value)`` in UTF-8, fast for strings and finite
+    floats."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value).encode("utf-8")
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value).encode("utf-8")
+    return json.dumps(value).encode("utf-8")
+
+
+def report_json(report: PowerQuoteReport) -> bytes:
+    """``json.dumps(report.to_dict())`` in UTF-8 (the
+    ``/v1/estimate`` response body)."""
+    head, tail = report.stable_json()
+    return b"".join((head, _json_scalar(report.cache_status), _ELAPSED_KEY,
+                     _json_scalar(report.elapsed_s), tail))
+
+
+def batch_response_json(reports: List[PowerQuoteReport]) -> bytes:
+    """``json.dumps(batch_response_payload(reports))`` in UTF-8 (the
+    ``/v1/estimate_batch`` response body)."""
+    return b"".join((_BATCH_HEAD,
+                     b", ".join([report_json(report) for report in reports]),
+                     b"]}"))
 
 
 def reports_from_batch(data: Dict[str, Any]) -> List[PowerQuoteReport]:
@@ -436,17 +538,17 @@ def _dedupe(values):
 
 
 def _positive_axis(values: Any, name: str) -> Tuple[float, ...]:
-    """A sorted, deduplicated tuple of positive floats (strict)."""
+    """A sorted, deduplicated tuple of positive finite floats (strict)."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ExperimentError(
             f"optimize query field {name!r} must be a non-empty list")
     axis: List[float] = []
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or value <= 0:
+                or not value > 0 or not is_finite(value):
             raise ExperimentError(
                 f"optimize query field {name!r} must hold positive "
-                f"numbers, got {value!r}")
+                f"finite numbers, got {value!r}")
         axis.append(float(value))
     return tuple(sorted(set(axis)))
 
@@ -508,13 +610,7 @@ class OptimizeQuery:
                     f"unknown objective {objective!r}; choose from "
                     f"{', '.join(sorted(OPTIMIZE_OBJECTIVES))}")
         object.__setattr__(self, "objectives", objectives)
-        if self.deadline_ms is not None:
-            if (isinstance(self.deadline_ms, bool)
-                    or not isinstance(self.deadline_ms, (int, float))
-                    or self.deadline_ms <= 0):
-                raise ExperimentError(
-                    f"optimize query field 'deadline_ms' must be a "
-                    f"positive number, got {self.deadline_ms!r}")
+        _check_deadline(self.deadline_ms, "optimize query")
         if self.n_candidates > MAX_OPTIMIZE_POINTS:
             raise ExperimentError(
                 f"optimize query spans {self.n_candidates} candidate "
@@ -551,7 +647,8 @@ class OptimizeQuery:
 
         ``backends``, ``objectives`` and ``config`` may be omitted and
         take their defaults (``config`` falling back to the serving
-        session's configuration, like :meth:`PowerQuery.from_dict`).
+        session's configuration, and bounded to the paper's pattern
+        budget, like :meth:`PowerQuery.from_dict`).
         """
         if not isinstance(data, dict):
             raise ExperimentError(
@@ -564,18 +661,12 @@ class OptimizeQuery:
              "deadline_ms"},
             "OptimizeQuery")
         _check_schema_version(data, "OptimizeQuery")
-        config_data = data.get("config")
-        if config_data is None:
-            config = default_config if default_config is not None \
-                else PAPER_CONFIG
-        else:
-            config = ExperimentConfig.from_dict(config_data)
         kwargs: Dict[str, Any] = {
             "circuit": data.get("circuit"),
             "libraries": data.get("libraries"),
             "vdds": data.get("vdds"),
             "frequencies": data.get("frequencies"),
-            "config": config,
+            "config": _wire_config(data, default_config),
             "deadline_ms": data.get("deadline_ms"),
         }
         if data.get("backends") is not None:

@@ -7,7 +7,11 @@ config) triple, while keeping every expensive intermediate warm:
 
 * **results** — finished reports, LRU-keyed by ``query_key`` (the
   sweep-task content hash), so a repeated identical query is a
-  dictionary lookup (``cache_status: "hot"``);
+  dictionary lookup (``cache_status: "hot"``).  Each report enters
+  with its JSON already encoded
+  (:meth:`~repro.schema.PowerQuoteReport.stable_json`), so the server
+  encodes an answer once, not per request, and the encoding leaves
+  with the entry;
 * **netlists** — mapped netlists
   (:func:`repro.experiments.flow.mapped_netlist`), so changing only
   estimation knobs (frequency, fanout, pattern budget, backend)
@@ -224,7 +228,8 @@ class Engine:
 
         A registration may have changed what a circuit/library name
         means; every name-keyed warm entry is then suspect — including
-        stored records (their task_key hashes the *name*).  The store
+        stored records (their task_key hashes the *name*) and the
+        encoded answers the result entries carry.  The store
         itself is last-write-wins, so recomputed answers simply
         overwrite the stale lines.  (The netlist memo keys on the
         generation itself, and the registry drops a re-registered
@@ -241,14 +246,18 @@ class Engine:
 
         Circuit and library names resolve through the registry (raising
         the usual "choose from ..." errors for unknown names); a
-        ``None`` config takes the session default.
+        ``None`` config takes the session default.  An already
+        canonical query comes back as itself, with its memoized key.
         """
-        config = query.config if query.config is not None \
-            else self.session.config
+        circuit = registry.canonical_circuit(query.circuit)
+        library = registry.canonical_library(query.library)
+        if (circuit == query.circuit and library == query.library
+                and query.config is not None):
+            return query
         return PowerQuery(
-            circuit=registry.canonical_circuit(query.circuit),
-            library=registry.canonical_library(query.library),
-            config=config,
+            circuit=circuit, library=library,
+            config=query.config if query.config is not None
+            else self.session.config,
             deadline_ms=query.deadline_ms)
 
     def estimate_request(self, circuit: str, library: str,
@@ -353,7 +362,7 @@ class Engine:
                         report = quote_from_record(
                             self._store_index[key],
                             server_version=__version__)
-                        self._results.put(key, report)
+                        self._remember(key, report)
                         self.counters["results.store"] += 1
                     if report is not None:
                         self.counters["results.hot"] += 1
@@ -416,6 +425,8 @@ class Engine:
         quotes = [PowerQuoteReport.from_flow(
             query, flow, server_version=__version__, cache_status="cold",
             elapsed_s=elapsed) for query, flow in zip(batch, flows)]
+        for quote in quotes:
+            quote.stable_json()  # outside the lock; every serving shares it
         with self._lock:
             # A re-registration while we computed may have changed what
             # the circuit/library names mean; results built from the old
@@ -425,7 +436,7 @@ class Engine:
             futures = [self._inflight.pop(key) for key in leaders]
             for key, quote in zip(leaders, quotes):
                 if still_fresh:
-                    self._results.put(key, quote)
+                    self._remember(key, quote)
             self.counters["results.cold"] += len(quotes)
         for future, quote in zip(futures, quotes):
             future.set_result(quote)
@@ -437,6 +448,13 @@ class Engine:
             with self._lock:
                 if self._generation == generation:
                     self._store_index.update(zip(leaders, records))
+
+    def _remember(self, key: str, report: PowerQuoteReport) -> None:
+        """Put a report in the result LRU with its JSON encoded: the
+        encoding lives and dies with the entry.  Caller holds the
+        engine lock."""
+        report.stable_json()
+        self._results.put(key, report)
 
     def _price(self, queries: List[PowerQuery],
                deadline: Deadline) -> List[CircuitFlowResult]:

@@ -315,18 +315,14 @@ class _ControlHandler(JsonHandler):
                 if supervisor.n_ready() > 0:
                     self._send_json(200, {"status": "ready"})
                 else:
-                    self._send_json(
-                        503,
-                        {"error": {"code": "degraded",
-                                   "message": "no ready fleet worker"}},
-                        {"Retry-After": RETRY_AFTER_DRAINING})
+                    self._send_error_json(
+                        503, "degraded", "no ready fleet worker",
+                        retry_after=RETRY_AFTER_DRAINING)
             else:
-                self._send_json(
-                    404, {"error": {"code": "not_found",
-                                    "message": f"unknown path {path!r}"}})
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_json(500, {"error": {"code": "internal",
-                                            "message": str(exc)}})
+                self._send_error_json(404, "not_found",
+                                      f"unknown path {path!r}")
+        except Exception:
+            self._send_internal_error()
 
 
 # -- supervisor ---------------------------------------------------------------

@@ -38,14 +38,24 @@ coalescing) engine.  Endpoints:
 ========================  ======  =============================================
 code                      status  meaning
 ========================  ======  =============================================
-``bad_request``           400     malformed JSON/schema, unknown names
+``bad_request``           400     malformed JSON/schema, unknown names, a
+                                  value the engine cannot price (NaN or
+                                  infinite number, negative ``seed``,
+                                  ``n_patterns`` past the paper's budget),
+                                  conflicting ``Content-Length`` headers
 ``not_found``             404     unknown path or method
 ``payload_too_large``     413     body over :data:`MAX_BODY_BYTES`
 ``overloaded``            429     admission limit hit — retry after the hint
 ``draining``              503     server is shutting down gracefully
 ``deadline_exceeded``     504     the request's ``deadline_ms`` ran out
-``internal``              500     unexpected failure
+``internal``              500     unexpected failure; its traceback goes to
+                                  stderr
 ========================  ======  =============================================
+
+A bad request line (400), an HTTP/2+ version (505) and an oversized
+header block (431) are answered by ``http.server``'s own error page,
+as before: :class:`JsonHandler` reads headers itself but keeps that
+contract.
 
 429 and 503 carry a ``Retry-After`` header (seconds); well-behaved
 clients (:class:`repro.serve.client.Client`) honor it.  Admission is
@@ -70,9 +80,12 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
+import traceback
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__, faults
 from repro.errors import DeadlineExceeded, ReproError
@@ -80,8 +93,9 @@ from repro.schema import (
     OptimizeQuery,
     PowerQuery,
     SCHEMA_VERSION,
-    batch_response_payload,
+    batch_response_json,
     queries_from_batch,
+    report_json,
 )
 from repro.serve.engine import Engine
 
@@ -104,21 +118,180 @@ RETRY_AFTER_DRAINING = "1"
 #: answered the request with an error (a JSON ``null`` body is ``None``).
 _ANSWERED = object()
 
+#: Limits on one request's header block, as ``http.client`` sets them:
+#: bytes per line, and lines (counting the blank line that ends the
+#: block).
+MAX_HEADER_LINE = 65536
+MAX_HEADERS = 100
+
+
+class RequestHeaders:
+    """The header fields of one request.
+
+    :meth:`get` matches a name in any letter case and returns the first
+    field of that name, like the ``email.message.Message`` that
+    ``http.server`` builds.
+    """
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, fields: List[Tuple[str, str]]):
+        self._fields = fields
+
+    def get(self, name: str,
+            default: Optional[str] = None) -> Optional[str]:
+        name = name.lower()
+        for key, value in self._fields:
+            if key.lower() == name:
+                return value
+        return default
+
+    def get_all(self, name: str) -> List[str]:
+        name = name.lower()
+        return [value for key, value in self._fields if key.lower() == name]
+
+
+def _version_number(version: str) -> Optional[Tuple[int, int]]:
+    """``(major, minor)`` of an ``HTTP/x.y`` token, ``None`` if bad."""
+    if not version.startswith("HTTP/"):
+        return None
+    numbers = version[5:].split(".")
+    if len(numbers) != 2 or not all(
+            number.isascii() and number.isdigit() and len(number) <= 10
+            for number in numbers):
+        return None
+    return int(numbers[0]), int(numbers[1])
+
 
 class JsonHandler(BaseHTTPRequestHandler):
     """Keep-alive HTTP/1.1 JSON responses, for the service and the fleet.
 
-    Headers and body go out in two writes; with Nagle's algorithm on,
-    the body waits for the client's delayed ACK (~40 ms per keep-alive
-    round trip), so every connection sets ``TCP_NODELAY``.
+    A response is buffered and goes out in one write when the request
+    is done (``http.server`` flushes ``wfile`` after each request; a
+    ``100 Continue`` is flushed at once).  Every connection also sets
+    ``TCP_NODELAY``: with Nagle's algorithm on, a write that follows
+    another waits for the client's delayed ACK (~40 ms per keep-alive
+    round trip).
+
+    Request headers are read by :meth:`parse_request` directly, not
+    through ``email.parser`` as ``http.server`` does, with the same
+    contract: 400 for a bad request line, 505 for HTTP/2 and later,
+    431 for a header line over :data:`MAX_HEADER_LINE` bytes or for
+    :data:`MAX_HEADERS` header lines or more, the HTTP/1.0 (close) and
+    HTTP/1.1 (keep-alive) defaults and the ``Connection`` header,
+    ``Expect: 100-continue``, and ``self.headers.get`` in any letter
+    case.  Two ``Content-Length`` headers that disagree are a 400.
     """
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    wbufsize = -1  # buffered: io's default size
 
-    def _send_json(self, status: int, payload: Dict[str, Any],
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` now: the client waits for it before it
+        sends the body."""
+        answered = super().handle_expect_100()
+        self.wfile.flush()
+        return answered
+
+    def parse_request(self) -> bool:
+        """Parse the request line and headers (``http.server``'s
+        method, with :meth:`_read_headers` for ``email.parser``).  On
+        failure the error response is already sent."""
+        self.command = None
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad request version ({version!r})")
+                return False
+            if number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command, self.path = command, path
+        if self.path.startswith("//"):
+            # http.server's guard against open redirects.
+            self.path = "/" + self.path.lstrip("/")
+        headers = self._read_headers()
+        if headers is None:
+            return False
+        self.headers = headers  # type: ignore[assignment]
+        if len(set(headers.get_all("Content-Length"))) > 1:
+            self.close_connection = True
+            self._send_error_json(400, "bad_request",
+                                  "conflicting Content-Length headers")
+            return False
+        connection = headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive" \
+                and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if (headers.get("Expect", "").lower() == "100-continue"
+                and self.protocol_version >= "HTTP/1.1"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def _read_headers(self) -> Optional[RequestHeaders]:
+        """The header block up to its blank line, or ``None`` after a
+        431.  A line that starts with whitespace continues the field
+        before it; a line without a colon is skipped."""
+        lines = []
+        readline = self.rfile.readline
+        while True:
+            line = readline(MAX_HEADER_LINE + 1)
+            if len(line) > MAX_HEADER_LINE:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                                "Line too long", "header line")
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                break
+            lines.append(line)
+            if len(lines) >= MAX_HEADERS:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                                "Too many headers",
+                                f"got more than {MAX_HEADERS} headers")
+                return None
+        fields: List[Tuple[str, str]] = []
+        for line in lines:
+            text = line.decode("iso-8859-1").rstrip("\r\n")
+            if text[:1] in (" ", "\t"):
+                if fields:
+                    name, value = fields[-1]
+                    fields[-1] = (name, value + " " + text.strip(" \t"))
+                continue
+            name, colon, value = text.partition(":")
+            if colon:
+                fields.append((name, value.lstrip(" \t")))
+        return RequestHeaders(fields)
+
+    def _send_body(self, status: int, body: bytes,
                    headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Send an encoded JSON body."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -126,6 +299,24 @@ class JsonHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, status: int, payload: Dict[str, Any],
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        self._send_body(status, json.dumps(payload).encode("utf-8"),
+                        headers)
+
+    def _send_error_json(self, status: int, code: str, message: str,
+                         retry_after: Optional[str] = None) -> None:
+        headers = {"Retry-After": retry_after} if retry_after else None
+        self._send_json(status,
+                        {"error": {"code": code, "message": message}},
+                        headers)
+
+    def _send_internal_error(self) -> None:
+        """Answer 500 for the exception being handled, writing its
+        traceback to the error log first."""
+        self.log_error("%s", traceback.format_exc().rstrip())
+        self._send_error_json(500, "internal", str(sys.exc_info()[1]))
 
 
 class _Handler(JsonHandler):
@@ -138,13 +329,6 @@ class _Handler(JsonHandler):
         return self.server.engine  # type: ignore[attr-defined]
 
     # -- plumbing ----------------------------------------------------------
-
-    def _send_error_json(self, status: int, code: str, message: str,
-                         retry_after: Optional[str] = None) -> None:
-        headers = {"Retry-After": retry_after} if retry_after else None
-        self._send_json(status,
-                        {"error": {"code": code, "message": message}},
-                        headers)
 
     def _drop_faulted(self, path: str) -> bool:
         """``http.drop``: close the connection without any response."""
@@ -223,8 +407,8 @@ class _Handler(JsonHandler):
             else:
                 self._send_error_json(404, "not_found",
                                       f"unknown path {path!r}")
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_error_json(500, "internal", str(exc))
+        except Exception:
+            self._send_internal_error()
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
         path = self.path.split("?", 1)[0].rstrip("/")
@@ -263,15 +447,16 @@ class _Handler(JsonHandler):
                 if path == "/v1/estimate":
                     query = PowerQuery.from_dict(
                         data, default_config=self.engine.session.config)
-                    payload = self.engine.estimate(query).to_dict()
+                    body = report_json(self.engine.estimate(query))
                 elif path == "/v1/optimize":
                     optimize_query = OptimizeQuery.from_dict(
                         data, default_config=self.engine.session.config)
-                    payload = self.engine.optimize(optimize_query).to_dict()
+                    body = json.dumps(self.engine.optimize(
+                        optimize_query).to_dict()).encode("utf-8")
                 else:
                     queries = queries_from_batch(
                         data, default_config=self.engine.session.config)
-                    payload = batch_response_payload(
+                    body = batch_response_json(
                         self.engine.estimate_batch(queries))
             except DeadlineExceeded as exc:
                 self._send_error_json(504, "deadline_exceeded", str(exc))
@@ -279,10 +464,10 @@ class _Handler(JsonHandler):
             except ReproError as exc:
                 self._send_error_json(400, "bad_request", str(exc))
                 return
-            except Exception as exc:
-                self._send_error_json(500, "internal", str(exc))
+            except Exception:
+                self._send_internal_error()
                 return
-            self._send_json(200, payload)
+            self._send_body(200, body)
         finally:
             server.end_request()
 

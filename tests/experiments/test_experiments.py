@@ -91,6 +91,19 @@ class TestConfig:
         with pytest.raises(ExperimentError, match=match):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("vdd", float("nan"), "'vdd' must be a finite number"),
+        ("vdd", float("-inf"), "'vdd' must be a finite number"),
+        ("frequency", float("inf"), "'frequency' must be a finite number"),
+        ("frequency", 10**400, "'frequency' must be a finite number"),
+        ("seed", -1, "'seed' must be a non-negative integer"),
+    ])
+    def test_unpriceable_values_rejected(self, field, value, match):
+        from repro.errors import ExperimentError
+
+        with pytest.raises(ExperimentError, match=match):
+            ExperimentConfig(**{field: value})
+
     def test_numeric_types_accepted(self):
         import numpy as np
 

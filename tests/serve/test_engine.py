@@ -496,6 +496,48 @@ class TestEngineInvalidation:
         assert second.result.gate_count != first.result.gate_count
 
 
+class TestEngineWarmPathUnderContention:
+    def test_hot_answers_from_many_threads(self, tiny_config):
+        """Memoized keys and encoded answers are written once and read
+        by every thread: each of many concurrent hot servings on fresh
+        queries still encodes to ``json.dumps`` of its own dict."""
+        import json
+        import sys
+
+        from repro.schema import PowerQuery, report_json
+
+        engine = Engine(Session(tiny_config))
+        body = PowerQuery("t481", "cmos", tiny_config).to_dict()
+        engine.estimate(PowerQuery.from_dict(body))
+        served, errors = [], []
+
+        def hammer():
+            try:
+                for _ in range(50):
+                    report = engine.estimate(PowerQuery.from_dict(body))
+                    served.append((report, report_json(report)))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(served) == 400
+        assert engine.counters["results.hot"] == 400
+        for report, raw in served:
+            assert report.cache_status == "hot"
+            assert raw == json.dumps(report.to_dict()).encode("utf-8")
+
+
 class TestEngineDiscovery:
     def test_listings(self, engine):
         circuits = {c["key"]: c for c in engine.circuits()}

@@ -2,8 +2,11 @@
 mapping, and the acceptance anchor — ``POST /v1/estimate`` bit-identical
 to ``Session.run`` across the full paper grid."""
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -13,7 +16,12 @@ from repro import __version__
 from repro.api import Session
 from repro.circuits.suite import benchmark_suite
 from repro.experiments.config import ExperimentConfig
-from repro.schema import SCHEMA_VERSION, PowerQuery, PowerQuoteReport
+from repro.schema import (
+    SCHEMA_VERSION,
+    PowerQuery,
+    PowerQuoteReport,
+    batch_response_payload,
+)
 from repro.serve import Client, Engine, serve
 from tests.test_api import PRE_REDESIGN_GOLDEN
 
@@ -237,6 +245,19 @@ class TestOptimizeEndpoint:
              "frequencies": [1e9]},
             {"schema_version": SCHEMA_VERSION, "circuit": "nope",
              "libraries": ["cmos"], "vdds": [0.9], "frequencies": [1e9]},
+            # NaN and Infinity are valid JSON to Python's parser.
+            {"schema_version": SCHEMA_VERSION, "circuit": "t481",
+             "libraries": ["cmos"], "vdds": [float("nan")],
+             "frequencies": [1e9]},
+            {"schema_version": SCHEMA_VERSION, "circuit": "t481",
+             "libraries": ["cmos"], "vdds": [0.9],
+             "frequencies": [float("inf")]},
+            {"schema_version": SCHEMA_VERSION, "circuit": "t481",
+             "libraries": ["cmos"], "vdds": [0.9], "frequencies": [1e9],
+             "deadline_ms": float("nan")},
+            {"schema_version": SCHEMA_VERSION, "circuit": "t481",
+             "libraries": ["cmos"], "vdds": [0.9], "frequencies": [1e9],
+             "config": {"n_patterns": 1_000_000_000}},
         ]
         for payload in bads:
             request = urllib.request.Request(
@@ -373,9 +394,13 @@ class TestErrorMapping:
         assert "JSON object" in error["message"]
 
     # One case per old outcome: run at the paper config, run unseeded
-    # (and cached), and 500 ``internal``.
+    # (and cached), 500 ``internal`` (three of them), 200 echoing a
+    # non-JSON ``Infinity``, and a multi-GiB pattern allocation.
     @pytest.mark.parametrize("config", [[], {"seed": None},
-                                        {"vdd": "0.9"}])
+                                        {"vdd": "0.9"}, {"seed": -1},
+                                        {"vdd": float("nan")},
+                                        {"frequency": float("inf")},
+                                        {"n_patterns": 1_000_000_000}])
     def test_wrong_typed_config_is_400(self, server, config):
         status, payload = self._post_raw(
             server, json.dumps({"circuit": "t481", "library": "cmos",
@@ -383,6 +408,15 @@ class TestErrorMapping:
         assert status == 400
         assert payload["error"]["code"] == "bad_request"
         assert "ExperimentConfig" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf")])
+    def test_non_finite_deadline_is_400(self, server, deadline_ms):
+        """A NaN budget never expired; both are refused up front."""
+        status, payload = self._post_raw(
+            server, json.dumps({"circuit": "t481", "library": "cmos",
+                                "deadline_ms": deadline_ms}).encode())
+        assert status == 400
+        assert "deadline_ms" in payload["error"]["message"]
 
     def test_unknown_path_is_404(self, server):
         status, payload = self._post_raw(
@@ -425,3 +459,299 @@ class TestErrorMapping:
         dead = Client("http://127.0.0.1:9", timeout=2)
         with pytest.raises(ExperimentError, match="cannot reach"):
             dead.healthz()
+
+
+def _read_response(stream):
+    """One HTTP response off a socket file: (status line, headers with
+    lower-case names, body)."""
+    status = stream.readline().decode("iso-8859-1").rstrip("\r\n")
+    headers = {}
+    while True:
+        line = stream.readline().decode("iso-8859-1").rstrip("\r\n")
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers.get("content-length", 0)))
+    return status, headers, body
+
+
+def _closed_by_server(sock) -> bool:
+    sock.settimeout(10)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestHeaderReader:
+    """The request-header reader keeps ``http.server``'s contract on
+    raw sockets (only the conflicting ``Content-Length`` case is new)."""
+
+    def _connect(self, server):
+        host, port = server.server_address[:2]
+        sock = socket.create_connection((host, port), timeout=30)
+        return sock, sock.makefile("rb")
+
+    @staticmethod
+    def _estimate_head(*header_lines) -> bytes:
+        lines = ["POST /v1/estimate HTTP/1.1", "Host: test", *header_lines]
+        return "".join(line + "\r\n" for line in lines).encode() + b"\r\n"
+
+    @staticmethod
+    def _estimate_body(config) -> bytes:
+        return json.dumps(PowerQuery("t481", "cmos",
+                                     config).to_dict()).encode()
+
+    def test_connection_close_closes_after_the_answer(self, server):
+        sock, stream = self._connect(server)
+        with sock, stream:
+            sock.sendall(b"GET /v1/healthz/live HTTP/1.1\r\nHost: test\r\n"
+                         b"Connection: close\r\n\r\n")
+            status, _, body = _read_response(stream)
+            assert status.startswith("HTTP/1.1 200")
+            assert json.loads(body)["status"] == "alive"
+            assert stream.read() == b""
+
+    def test_http_1_0_closes_by_default(self, server):
+        sock, stream = self._connect(server)
+        with sock, stream:
+            sock.sendall(b"GET /v1/healthz/live HTTP/1.0\r\n\r\n")
+            status, _, body = _read_response(stream)
+            assert status.startswith("HTTP/1.1 200")
+            assert stream.read() == b""
+
+    def test_expect_100_continue(self, server, tiny_grid_config):
+        body = self._estimate_body(tiny_grid_config)
+        head = self._estimate_head(
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}", "Expect: 100-continue")
+        sock, stream = self._connect(server)
+        with sock, stream:
+            sock.sendall(head)
+            # The interim answer arrives before any body byte is sent.
+            assert stream.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert stream.readline() == b"\r\n"
+            sock.sendall(body)
+            status, _, answer = _read_response(stream)
+        assert status.startswith("HTTP/1.1 200")
+        assert json.loads(answer)["circuit"] == "t481"
+
+    @pytest.mark.parametrize("headers", [
+        [f"X-Filler-{index}: {index}" for index in range(101)],
+        ["X-Long: " + "a" * (70 * 1024)],
+    ], ids=["101-headers", "70KiB-line"])
+    def test_oversized_header_block_is_431(self, server, headers):
+        sock, stream = self._connect(server)
+        with sock, stream:
+            sock.sendall(("GET /v1/healthz/live HTTP/1.1\r\n"
+                          + "".join(line + "\r\n" for line in headers)
+                          + "\r\n").encode())
+            status, _, _ = _read_response(stream)
+        assert status.startswith("HTTP/1.1 431")
+
+    def test_header_names_in_any_case(self, server, tiny_grid_config):
+        body = self._estimate_body(tiny_grid_config)
+        head = self._estimate_head(
+            "cOnTeNt-TyPe: application/json",
+            f"CONTENT-LENGTH: {len(body)}", "connection: CLOSE")
+        sock, stream = self._connect(server)
+        with sock, stream:
+            sock.sendall(head + body)
+            status, _, answer = _read_response(stream)
+            assert status.startswith("HTTP/1.1 200")
+            assert json.loads(answer)["circuit"] == "t481"
+            assert stream.read() == b""
+
+    def test_conflicting_content_lengths_are_400(self, server,
+                                                 tiny_grid_config):
+        body = self._estimate_body(tiny_grid_config)
+        head = self._estimate_head(f"Content-Length: {len(body)}",
+                                   f"Content-Length: {len(body) + 10}")
+        sock, stream = self._connect(server)
+        with sock, stream:
+            sock.sendall(head + body)
+            status, _, answer = _read_response(stream)
+            assert status.startswith("HTTP/1.1 400")
+            assert b"Content-Length" in answer
+            # The body's framing is unknowable: the link is dropped.
+            assert _closed_by_server(sock)
+
+    def test_pipelined_requests_are_both_answered(self, server):
+        sock, stream = self._connect(server)
+        with sock, stream:
+            sock.sendall(b"GET /v1/healthz/live HTTP/1.1\r\nHost: a\r\n\r\n"
+                         b"GET /v1/backends HTTP/1.1\r\nHost: a\r\n\r\n")
+            first = _read_response(stream)
+            second = _read_response(stream)
+        assert first[0].startswith("HTTP/1.1 200")
+        assert json.loads(first[2])["status"] == "alive"
+        assert second[0].startswith("HTTP/1.1 200")
+        assert "bitsim" in json.loads(second[2])["backends"]
+
+
+class TestInternalErrors:
+    def test_500s_log_their_traceback(self, tiny_grid_config, capsys):
+        engine = Engine(Session(tiny_grid_config))
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine exploded")
+
+        engine.estimate = broken
+        engine.stats = broken
+        instance = serve(engine)
+        thread = threading.Thread(target=instance.serve_forever,
+                                  daemon=True)
+        thread.start()
+        try:
+            host, port = instance.server_address[:2]
+            connection = http.client.HTTPConnection(host, port, timeout=30)
+            body = json.dumps({"circuit": "t481", "library": "cmos"})
+            for method, path in (("POST", "/v1/estimate"),
+                                 ("GET", "/v1/healthz")):
+                connection.request(method, path,
+                                   body=body if method == "POST" else None)
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 500, path
+                assert payload["error"] == {"code": "internal",
+                                            "message": "engine exploded"}
+            connection.close()
+        finally:
+            instance.shutdown()
+            instance.server_close()
+            thread.join(timeout=10)
+        err = capsys.readouterr().err
+        assert err.count("Traceback (most recent call last)") == 2
+        assert err.count("RuntimeError: engine exploded") == 2
+
+
+class TestWireBytes:
+    """Estimate and batch bodies are ``json.dumps`` of the served
+    reports' dict forms, byte for byte, however they were served."""
+
+    @pytest.fixture
+    def recorded(self, tiny_grid_config):
+        engine = Engine(Session(tiny_grid_config))
+        served = []
+        for name in ("estimate", "estimate_batch"):
+            original = getattr(engine, name)
+
+            def recording(*args, _original=original, **kwargs):
+                answer = _original(*args, **kwargs)
+                served.append(answer)
+                return answer
+
+            setattr(engine, name, recording)
+        instance = serve(engine)
+        thread = threading.Thread(target=instance.serve_forever,
+                                  daemon=True)
+        thread.start()
+        yield engine, instance, served
+        instance.shutdown()
+        instance.server_close()
+        thread.join(timeout=10)
+
+    @staticmethod
+    def _post(instance, path, payload):
+        host, port = instance.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            connection.request("POST", path, body=json.dumps(payload))
+            response = connection.getresponse()
+            assert response.status == 200
+            return response.read()
+        finally:
+            connection.close()
+
+    def _check(self, raw, report):
+        if isinstance(report, list):
+            expected = json.dumps(batch_response_payload(report))
+        else:
+            expected = json.dumps(report.to_dict())
+        assert raw == expected.encode("utf-8")
+
+    def test_cold_hot_and_batch_bodies(self, recorded, tiny_grid_config):
+        _, instance, served = recorded
+        body = {"circuit": "t481", "library": "cmos"}
+        batch = {"queries": [body, dict(body, library="generalized")]}
+        raws = [self._post(instance, "/v1/estimate", body),
+                self._post(instance, "/v1/estimate", body),
+                self._post(instance, "/v1/estimate_batch", batch),
+                self._post(instance, "/v1/estimate_batch", batch)]
+        assert [report.cache_status for report in (served[0], served[1])] \
+            == ["cold", "hot"]
+        assert [report.cache_status for report in served[2]] \
+            == ["hot", "cold"]
+        assert [report.cache_status for report in served[3]] \
+            == ["hot", "hot"]
+        for raw, report in zip(raws, served):
+            self._check(raw, report)
+
+    def test_coalesced_body(self, recorded):
+        engine, instance, served = recorded
+        release, entered = threading.Event(), threading.Event()
+        price = engine._price
+
+        def slow_price(queries, deadline):
+            entered.set()
+            release.wait(timeout=30)
+            return price(queries, deadline)
+
+        engine._price = slow_price
+        body = {"circuit": "i8", "library": "cmos"}
+        raws = {}
+
+        def post(name):
+            raws[name] = self._post(instance, "/v1/estimate", body)
+
+        leader = threading.Thread(target=post, args=("leader",))
+        leader.start()
+        entered.wait(timeout=30)
+        follower = threading.Thread(target=post, args=("follower",))
+        follower.start()
+        for _ in range(1000):
+            if engine.counters["results.coalesced"]:
+                break
+            time.sleep(0.001)
+        release.set()
+        leader.join(timeout=60)
+        follower.join(timeout=60)
+        by_status = {report.cache_status: report for report in served}
+        assert set(by_status) == {"cold", "coalesced"}
+        assert len(served) == 2
+        bodies = {json.loads(raw)["cache_status"]: raw
+                  for raw in raws.values()}
+        for status, report in by_status.items():
+            self._check(bodies[status], report)
+
+    def test_bodies_after_a_reregistration(self, recorded):
+        from repro import registry
+        from repro.circuits.adders import (
+            parity_tree_circuit,
+            ripple_adder_circuit,
+        )
+
+        _, instance, served = recorded
+        body = {"circuit": "wire-probe", "library": "cmos"}
+        registry.register_circuit(
+            "wire-probe", lambda: ripple_adder_circuit(3, name="wire-probe"))
+        try:
+            before = [self._post(instance, "/v1/estimate", body)
+                      for _ in range(2)]
+            registry.register_circuit(
+                "wire-probe",
+                lambda: parity_tree_circuit(8, name="wire-probe"),
+                replace=True)
+            after = [self._post(instance, "/v1/estimate", body)
+                     for _ in range(2)]
+        finally:
+            registry.unregister_circuit("wire-probe", missing_ok=True)
+        assert [report.cache_status for report in served] == \
+            ["cold", "hot", "cold", "hot"]
+        for raw, report in zip(before + after, served):
+            self._check(raw, report)
+        # The hot answer after the change is the new circuit's, not
+        # the encoding the old entry carried.
+        assert json.loads(after[1])["result"] != \
+            json.loads(before[1])["result"]

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+from typing import Any
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.cache import DiskCache, stable_hash
+from repro.cache import Canonical, DiskCache, canonical, stable_hash
 from repro.devices.parameters import cmos_32nm, cntfet_32nm
 from repro.power.pattern_sim import PatternSimulator
 from repro.power.characterize import characterize_library
@@ -34,6 +39,131 @@ class TestStableHash:
         assert stable_hash([1, "a", 0.5]) == stable_hash((1, "a", 0.5))
         assert stable_hash({"b": 1, "a": 2}) == stable_hash({"a": 2, "b": 1})
         assert stable_hash([1]) != stable_hash([2])
+
+
+def _reference_normalize(value: Any) -> Any:
+    """The normalization ``stable_hash`` used before it encoded in one
+    pass (kept as the oracle the keys must not drift from)."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {field.name: _reference_normalize(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _reference_normalize(v)
+                for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_reference_normalize(v) for v in value]
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (str, int, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+def reference_stable_hash(value: Any) -> str:
+    payload = json.dumps(_reference_normalize(value), sort_keys=True,
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Point:
+    x: Any
+    label: str = "p"
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(),
+    st.floats(allow_nan=False).map(np.float64),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_))
+
+_NESTED = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=4),
+        st.builds(_Point, inner, st.text(max_size=4))),
+    max_leaves=12)
+
+#: Every type an ExperimentConfig float field accepts.
+_NUMBERS = st.one_of(
+    st.floats(min_value=0.1, max_value=5.0),
+    st.integers(min_value=1, max_value=5),
+    st.floats(min_value=0.1, max_value=5.0).map(np.float64),
+    st.integers(min_value=1, max_value=5).map(np.int64))
+
+
+class TestCanonicalEncoding:
+    """The one-pass encoder hashes exactly what the reference formula
+    (normalize, ``json.dumps``, sha256) hashes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_NESTED)
+    def test_nested_structures_match_the_reference(self, value):
+        assert stable_hash(value) == reference_stable_hash(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vdd=_NUMBERS, frequency=_NUMBERS.map(lambda f: f * 1e9),
+           seed=st.one_of(st.integers(0, 10**6),
+                          st.integers(0, 10**6).map(np.int64)),
+           n_patterns=st.integers(1, 10**6), synthesize=st.booleans(),
+           backend=st.sampled_from(["bitsim", "spice-transient"]))
+    def test_config_keys_match_the_reference(self, vdd, frequency, seed,
+                                             n_patterns, synthesize,
+                                             backend):
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.flow import CircuitFlowResult
+        from repro.schema import (
+            TASK_SCHEMA_VERSION, PowerQuery, PowerQuoteReport)
+
+        config = ExperimentConfig(
+            vdd=vdd, frequency=frequency, seed=seed, n_patterns=n_patterns,
+            synthesize=synthesize, backend=backend)
+        query = PowerQuery("t481", "cntfet-generalized", config)
+        expected = reference_stable_hash({
+            "schema": TASK_SCHEMA_VERSION, "circuit": query.circuit,
+            "library": query.library, "config": config.to_dict()})
+        assert query.query_key == expected
+        assert stable_hash(config) == reference_stable_hash(config)
+        flow = CircuitFlowResult("t481", "cntfet-generalized", 10, 1e-9,
+                                 1e-6, 2e-7, 3e-8, 1.23e-6, 4e-24)
+        report = PowerQuoteReport.from_flow(query, flow)
+        assert report.query_key == expected
+        assert report.config_hash == reference_stable_hash(config)
+
+    def test_equal_configs_of_different_types_keep_their_own_keys(self):
+        """1, 1.0 and np.float64(1.0) compare (and hash) equal, but
+        their keys differ: no memo may be keyed by value."""
+        from repro.experiments.config import ExperimentConfig
+        from repro.schema import PowerQuery
+
+        configs = [ExperimentConfig(vdd=1), ExperimentConfig(vdd=1.0),
+                   ExperimentConfig(vdd=np.float64(1.0))]
+        assert configs[0] == configs[1] == configs[2]
+        keys = [PowerQuery("t481", "cmos", config).query_key
+                for config in configs]
+        assert len(set(keys)) == 3
+        for config, key in zip(configs, keys):
+            assert key == reference_stable_hash({
+                "schema": 2, "circuit": "t481", "library": "cmos",
+                "config": config.to_dict()})
+
+    def test_canonical_is_encoded_once_and_embedded_verbatim(self):
+        from repro.experiments.config import ExperimentConfig
+
+        config = ExperimentConfig(vdd=0.8)
+        memo = canonical(config)
+        assert canonical(config) is memo
+        assert isinstance(memo, Canonical)
+        assert stable_hash(memo) == stable_hash(config)
+        assert stable_hash({"c": memo}) == stable_hash({"c": config})
+        # The memo is per instance: an equal config encodes afresh.
+        assert canonical(ExperimentConfig(vdd=0.8)) is not memo
 
 
 class TestDiskCache:

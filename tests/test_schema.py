@@ -1,6 +1,7 @@
 """The versioned power-query wire schema: strict (de)serialization,
 key compatibility with sweep tasks, and the shared store-record shape."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,12 +10,16 @@ from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig, PAPER_CONFIG
 from repro.experiments.flow import CircuitFlowResult
 from repro.schema import (
+    OptimizeQuery,
     PowerQuery,
     PowerQuoteReport,
     SCHEMA_VERSION,
     TASK_SCHEMA_VERSION,
+    batch_response_json,
+    batch_response_payload,
     flow_from_record,
     quote_from_record,
+    report_json,
     store_record,
 )
 from repro.sweep.spec import SweepTask
@@ -306,3 +311,89 @@ class TestBatchEnvelopes:
         with pytest.raises(ExperimentError, match="unknown batch"):
             reports_from_batch({"schema_version": SCHEMA_VERSION,
                                 "reports": [], "surprise": 1})
+
+
+class TestWireBytes:
+    """``report_json`` / ``batch_response_json`` are exactly the
+    ``json.dumps`` of the dict forms, whatever the report holds."""
+
+    def _reports(self):
+        cold = PowerQuoteReport.from_flow(
+            PowerQuery("t481", "cmos"), _flow(), server_version="9.9",
+            elapsed_s=0.125)
+        gateless = PowerQuoteReport.from_flow(
+            PowerQuery("t481", "cmos"), _flow(delay_s=0.0, gate_count=0))
+        v1 = PowerQuoteReport.from_dict({
+            "schema_version": 1, "circuit": "t481", "library": "cmos",
+            "backend": "bitsim", "result": dataclasses.asdict(_flow())})
+        unicode = PowerQuoteReport.from_flow(
+            PowerQuery("adder-\u00e9\u4e2d", "cmos"),
+            _flow(circuit="adder-\u00e9\u4e2d"))
+        return [cold, cold.with_status("hot", 1.5e-05),
+                cold.with_status("coalesced", 0), gateless, v1, unicode,
+                unicode.with_status("hot", 3.0)]
+
+    def test_report_bytes_equal_json_dumps(self):
+        for report in self._reports():
+            assert report_json(report) == \
+                json.dumps(report.to_dict()).encode("utf-8")
+
+    def test_batch_bytes_equal_json_dumps(self):
+        reports = self._reports()
+        for chunk in ([], reports[:1], reports):
+            assert batch_response_json(chunk) == json.dumps(
+                batch_response_payload(chunk)).encode("utf-8")
+
+    def test_restamped_copies_share_one_encoding(self):
+        report = PowerQuoteReport.from_flow(PowerQuery("t481", "cmos"),
+                                            _flow())
+        parts = report.stable_json()
+        hot = report.with_status("hot", 0.001)
+        assert hot.stable_json() is parts
+        assert hot == dataclasses.replace(report, cache_status="hot",
+                                          elapsed_s=0.001)
+
+
+class TestWireBounds:
+    """What a request body may ask for: the engine prices only finite
+    operating points within the paper's pattern budget."""
+
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf"),
+                                             -1, 0])
+    def test_bad_deadline_rejected(self, deadline_ms):
+        with pytest.raises(ExperimentError, match="deadline_ms"):
+            PowerQuery.from_dict({"circuit": "t481", "library": "cmos",
+                                  "deadline_ms": deadline_ms})
+        with pytest.raises(ExperimentError, match="deadline_ms"):
+            OptimizeQuery(circuit="t481", libraries=("cmos",),
+                          vdds=(0.9,), frequencies=(1e9,),
+                          deadline_ms=deadline_ms)
+
+    def test_pattern_budget_is_the_papers(self):
+        budget = PAPER_CONFIG.n_patterns
+        body = {"circuit": "t481", "library": "cmos",
+                "config": {"n_patterns": budget}}
+        assert PowerQuery.from_dict(body).config.n_patterns == budget
+        body["config"]["n_patterns"] = budget + 1
+        with pytest.raises(ExperimentError, match="n_patterns"):
+            PowerQuery.from_dict(body)
+        with pytest.raises(ExperimentError, match="n_patterns"):
+            OptimizeQuery.from_dict({
+                "circuit": "t481", "libraries": ["cmos"], "vdds": [0.9],
+                "frequencies": [1e9], "config": body["config"]})
+        # A server's own default is not a request's to bound, and
+        # local sweeps keep any budget.
+        big = ExperimentConfig(n_patterns=budget * 2)
+        query = PowerQuery.from_dict({"circuit": "t481", "library": "cmos"},
+                                     default_config=big)
+        assert query.config is big
+        assert SweepTask("t481", "cmos", big).config is big
+
+    @pytest.mark.parametrize("axis", ["vdds", "frequencies"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+    def test_non_finite_axis_rejected(self, axis, value):
+        data = {"circuit": "t481", "libraries": ["cmos"], "vdds": [0.9],
+                "frequencies": [1e9]}
+        data[axis] = [value]
+        with pytest.raises(ExperimentError, match="finite"):
+            OptimizeQuery.from_dict(data)
