@@ -130,11 +130,6 @@ class Session:
         registrations — see :mod:`repro.registry`)."""
         return registry.available_circuits()
 
-    @property
-    def effective_jobs(self) -> int:
-        """The worker count grids actually run with."""
-        return resolve_jobs(self.jobs)
-
     def with_config(self, **overrides) -> "Session":
         """A sibling session with config fields replaced."""
         from dataclasses import replace
@@ -277,7 +272,8 @@ class Session:
 
     def sweep(self, spec, store=None, verbose: bool = False,
               echo: Callable[[str], None] = print):
-        """Run every not-yet-stored point of a sweep grid.
+        """Run every point of a sweep grid the store holds no current
+        answer for (:func:`~repro.sweep.store.missing_tasks`).
 
         Unlike ``run``/``table1``, a sweep's operating points, library
         axis and estimator backend are defined entirely by the *spec*
@@ -319,6 +315,7 @@ class Session:
         from repro.sweep.store import (
             MemoryResultStore,
             ResultStore,
+            missing_tasks,
             open_store,
             poison_record,
         )
@@ -330,8 +327,7 @@ class Session:
 
         start = time.perf_counter()
         tasks = spec.expand()
-        done_keys = store.keys()
-        pending = [task for task in tasks if task.task_key not in done_keys]
+        pending = missing_tasks(tasks, store)
         groups = group_tasks(pending)
         jobs_effective = min(resolve_jobs(self.jobs), max(1, len(groups)))
         simulations = 0

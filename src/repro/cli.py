@@ -494,7 +494,8 @@ def _cmd_serve(args) -> int:
 
     # Graceful shutdown: stop admitting (readiness flips 503 so load
     # balancers stop routing here), let in-flight requests finish up
-    # to --drain-timeout, flush the result store, exit 0.  The drain
+    # to --drain-timeout, exit 0.  The result store writes through on
+    # every append, so there is nothing to flush.  The drain
     # runs in its own thread because server.shutdown() deadlocks when
     # called from the thread running serve_forever() — which is where
     # Python delivers signals.
@@ -509,7 +510,6 @@ def _cmd_serve(args) -> int:
         if not server.wait_idle(timeout=args.drain_timeout):
             print(f"drain timeout of {args.drain_timeout:g}s hit; "
                   f"shutting down with requests in flight", flush=True)
-        engine.flush()
         server.shutdown()
 
     def on_signal(signum, frame):

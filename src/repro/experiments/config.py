@@ -128,15 +128,18 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"an ExperimentConfig must be a JSON object, got "
                 f"{type(data).__name__}")
-        known = {field.name for field in fields(cls)}
         # A removed execution knob that never changed an answer (and
         # never entered a key); older sweep stores and clients send it.
-        unknown = sorted(set(data) - known - {"sim_kernel"})
+        unknown = sorted(data.keys() - _FIELD_NAMES - {"sim_kernel"})
         if unknown:
             raise ExperimentError(
                 f"unknown ExperimentConfig fields: {', '.join(unknown)}")
-        return cls(**{name: data[name] for name in known & set(data)})
+        return cls(**{name: value for name, value in data.items()
+                      if name in _FIELD_NAMES})
 
+
+#: Every field name, for :meth:`ExperimentConfig.from_dict`.
+_FIELD_NAMES = frozenset(field.name for field in fields(ExperimentConfig))
 
 #: (name, accepted types, description) of every field, in order.
 _FIELD_CHECKS = tuple((field.name, *_ACCEPTS[field.type])

@@ -6,17 +6,14 @@ onto genlib-characterized libraries, and finally power is estimated on
 the mapped netlists by the config-selected estimator backend (the
 paper's random-pattern bitsim by default).
 
-Libraries are resolved through :mod:`repro.registry`
-(:func:`repro.registry.build_library` / :func:`~repro.registry.paper_libraries`
-replaced the historical ``three_libraries`` / ``cached_libraries``
-helpers, whose deprecation shims have been removed).
+Circuits and libraries resolve through :mod:`repro.registry`; subjects
+and mapped netlists are memoized by the circuit's content key.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cache import LruCache
@@ -34,20 +31,37 @@ from repro.synth.scripts import resyn2rs
 from repro import registry
 
 
-@lru_cache(maxsize=None)
+#: Subject graphs by (circuit content key, synthesis flag): a process
+#: builds and synthesizes each circuit definition once.
+_SUBJECTS: Dict[Tuple[str, bool], Aig] = {}
+
+
+def _subject(name: str, synthesize: bool) -> Tuple[str, Aig]:
+    """A registered circuit's (content key, subject graph); builds the
+    circuit at most once and keeps only the subject."""
+    content = registry.circuit_content_key(name, build=False)
+    subject = _SUBJECTS.get((content, synthesize))
+    if subject is None:
+        aig = registry.build_circuit(name)
+        content = aig.content_key()
+        subject = _SUBJECTS.get((content, synthesize))
+        if subject is None:
+            subject = synthesize_subject(
+                aig, ExperimentConfig(synthesize=synthesize))
+            _SUBJECTS[(content, synthesize)] = subject
+    return content, subject
+
+
 def synthesized_benchmark(name: str, synthesize: bool) -> Aig:
-    """Build (and optionally resyn2rs) one circuit, memoized per process.
+    """Build (and optionally resyn2rs) one circuit, memoized per process
+    by its content key.
 
     Any circuit registered with :func:`repro.registry.register_circuit`
     — the 12 Table 1 benchmarks, user BLIF netlists — resolves here.
-    Worker processes touching several (library, operating point) tasks
-    of one circuit pay for construction and synthesis once; both are
-    deterministic, so every process derives the same subject graph.
+    Construction and synthesis are deterministic, so every process
+    derives the same subject graph.
     """
-    aig = registry.build_circuit(name)
-    if not synthesize:
-        return aig
-    return synthesize_subject(aig, ExperimentConfig(synthesize=True))
+    return _subject(name, synthesize)[1]
 
 
 @dataclass(frozen=True)
@@ -122,17 +136,15 @@ def mapped_netlist(circuit: str, library: Library,
                    ) -> MappedNetlist:
     """A registered circuit mapped onto ``library``, memoized per process.
 
-    Keyed by the registry generation (a re-registration retires every
-    older entry), the circuit, the library instance — whose id no other
-    library can take while the entry's netlist holds it — and the
-    synthesis and mapper options.
+    Keyed by the circuit's content key, the library instance — whose id
+    no other library can take while the entry's netlist holds it — and
+    the synthesis and mapper options.
     """
-    key = (registry.generation(), circuit, id(library), config.synthesize,
-           config.mapper_cut_size, config.mapper_cut_limit,
-           config.mapper_area_rounds)
+    content, subject = _subject(circuit, config.synthesize)
+    key = (content, id(library), config.synthesize, config.mapper_cut_size,
+           config.mapper_cut_limit, config.mapper_area_rounds)
     netlist = MAPPED_NETLISTS.get(key)
     if netlist is None:
-        subject = synthesized_benchmark(circuit, config.synthesize)
         netlist = map_subject(subject, library, config)
         MAPPED_NETLISTS.put(key, netlist)
     return netlist

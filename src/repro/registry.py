@@ -25,6 +25,10 @@ registry) together with the paper's reference rows;
 a BLIF file, after which it flows through every Session / CLI / sweep
 / serve path exactly like a built-in benchmark.
 
+**Content keys.**  Every cache of answers keys on a registration's
+content (:func:`content_key`), not its name, so a circuit or library
+redefined under the same name never meets the old definition's answers.
+
 The three paper libraries plus the hybrid pass-transistor demo library
 (after Hu et al., arXiv:2002.01932) are registered at import time;
 ``available_libraries()`` / ``available_circuits()`` list whatever is
@@ -71,34 +75,6 @@ CircuitFactory = Callable[[], "Aig"]
 
 
 # -- generic name/alias registry core -----------------------------------------
-
-#: Bumped on every (re/un)registration of either kind.  Name-keyed
-#: caches outside this module (the flow's synthesized-subject and
-#: mapped-netlist memos, a serving engine's result cache) compare it to
-#: detect that a name may now mean something else and must be
-#: re-resolved.
-_GENERATION = 0
-
-
-def generation() -> int:
-    """Monotonic counter of registry mutations (both kinds)."""
-    return _GENERATION
-
-
-def _bump_generation() -> None:
-    global _GENERATION
-    _GENERATION += 1
-    # The flow memoizes synthesized subjects by circuit *name*; a
-    # replaced registration must not serve a stale graph.  Only clear
-    # when the module is already imported (no import cost here).
-    import sys
-    flow = sys.modules.get("repro.experiments.flow")
-    # getattr-guarded: during the initial import chain the flow module
-    # may itself be mid-initialization.
-    memo = getattr(flow, "synthesized_benchmark", None)
-    if memo is not None:
-        memo.cache_clear()
-
 
 class _Registry:
     """Key/alias bookkeeping shared by the library and circuit registries.
@@ -202,7 +178,6 @@ def register_library(key: str, factory: LibraryFactory, *,
     _LIBRARIES.add(entry, replace=replace)
     for cache_key in [k for k in _LIBRARY_CACHE if k[0] == key]:
         del _LIBRARY_CACHE[cache_key]
-    _bump_generation()
     return entry
 
 
@@ -212,17 +187,11 @@ def unregister_library(key: str, missing_ok: bool = False) -> None:
         return
     for cache_key in [k for k in _LIBRARY_CACHE if k[0] == key]:
         del _LIBRARY_CACHE[cache_key]
-    _bump_generation()
 
 
 def available_libraries() -> List[str]:
     """Canonical keys of every registered library, registration order."""
     return list(_LIBRARIES.entries)
-
-
-def library_aliases() -> Dict[str, str]:
-    """Every accepted spelling (keys included) -> canonical key."""
-    return dict(_LIBRARIES.names)
 
 
 def library_entry(name: str) -> LibraryEntry:
@@ -284,11 +253,8 @@ def clear_library_cache(name: Optional[str] = None) -> None:
 
 
 def paper_libraries(vdd: Optional[float] = None) -> Dict[str, Library]:
-    """The three libraries of the paper's Table 1 comparison, by key.
-
-    Cached per process per vdd (the replacement for the removed
-    ``repro.experiments.flow.cached_libraries`` shim).
-    """
+    """The three libraries of the paper's Table 1 comparison, by key,
+    cached per process per vdd."""
     return {key: cached_library(key, vdd) for key in PAPER_LIBRARIES}
 
 
@@ -365,7 +331,6 @@ def register_circuit(key: str, build: CircuitFactory, *,
     # A non-BLIF registration taking over a BLIF key must not leave a
     # stale source for worker replay (register_blif_text re-records).
     _BLIF_SOURCES.pop(key, None)
-    _bump_generation()
     return entry
 
 
@@ -375,17 +340,11 @@ def unregister_circuit(key: str, missing_ok: bool = False) -> None:
         return
     _CIRCUIT_CACHE.pop(key, None)
     _BLIF_SOURCES.pop(key, None)
-    _bump_generation()
 
 
 def available_circuits() -> List[str]:
     """Canonical keys of every registered circuit, registration order."""
     return list(_CIRCUITS.entries)
-
-
-def circuit_aliases() -> Dict[str, str]:
-    """Every accepted spelling (keys included) -> canonical key."""
-    return dict(_CIRCUITS.names)
 
 
 def circuit_entry(name: str) -> CircuitEntry:
@@ -416,8 +375,12 @@ def canonical_circuit(name: str) -> str:
 
 
 def build_circuit(name: str) -> "Aig":
-    """Build a fresh AIG by key or alias (no caching)."""
-    return _CIRCUITS.entries[canonical_circuit(name)].build()
+    """Build a fresh AIG by key or alias (the graph is not cached),
+    memoizing its :func:`circuit_content_key` on the way."""
+    entry = _CIRCUITS.entries[canonical_circuit(name)]
+    aig = entry.build()
+    entry.__dict__[_CONTENT_KEY] = aig.content_key()
+    return aig
 
 
 def cached_circuit(name: str) -> "Aig":
@@ -443,6 +406,54 @@ def paper_benchmarks() -> List[str]:
             if entry.paper is not None]
 
 
+# -- content keys --------------------------------------------------------------
+#
+# An answer is a function of a circuit's built AIG and a library's cells,
+# not of their names.  Each registration's content key is memoized in
+# its entry's ``__dict__``: a (re/un)registration replaces the entry, and
+# with it the key.  A cache keyed by content never needs invalidating.
+
+_CONTENT_KEY = "_content_key"
+
+
+def circuit_content_key(name: str, build: bool = True) -> Optional[str]:
+    """A registered circuit's content key: the hash of its built AIG
+    (:meth:`~repro.synth.aig.Aig.content_key`).
+
+    Without a memo, the default builds the circuit once to learn it and
+    ``build=False`` returns None.
+    """
+    entry = (_CIRCUITS.entries.get(name)
+             or _CIRCUITS.entries[canonical_circuit(name)])
+    key = entry.__dict__.get(_CONTENT_KEY)
+    if key is None and build:
+        key = entry.__dict__[_CONTENT_KEY] = entry.build().content_key()
+    return key
+
+
+def content_key(circuit: str, library: str,
+                build: bool = True) -> Optional[str]:
+    """What every answer for (circuit, library) is a function of: the
+    circuit's content key joined to the library's, the leakage-table
+    key of its native-supply build (``_library_content_key``).
+
+    Like :func:`circuit_content_key`, builds what it must unless
+    ``build=False``; with memos it is a handful of dict lookups.
+    """
+    circuit_key = circuit_content_key(circuit, build)
+    entry = (_LIBRARIES.entries.get(library)
+             or _LIBRARIES.entries[canonical_library(library)])
+    library_key = entry.__dict__.get(_CONTENT_KEY)
+    if library_key is None and build:
+        from repro.sim.estimator import _library_content_key
+
+        library_key = entry.__dict__[_CONTENT_KEY] = \
+            _library_content_key(entry.factory(None))
+    if circuit_key is None or library_key is None:
+        return None
+    return f"{circuit_key}/{library_key}"
+
+
 # -- circuit families ----------------------------------------------------------
 #
 # A circuit *family* is a parametric generator: one registration, an
@@ -453,11 +464,9 @@ def paper_benchmarks() -> List[str]:
 # because task/query keys content-hash the circuit name, the full
 # parameterization is hashed into every cached result automatically.
 #
-# Instance registration is content-addressed (the key *is* the
-# parameters), so it deliberately does NOT bump the registry
-# generation: resolving a new spec must not flush a serving engine's
-# warm caches.  Re-registering or removing the family itself does bump,
-# and purges every instance derived from it.
+# Resolving a new spec registers one more instance and touches no other
+# registration, so every served answer stays hot.  Re-registering or
+# removing the family itself purges every instance derived from it.
 
 #: ``family(args)`` — family keys may contain ``:`` (``synth:rand``),
 #: dots and dashes; the argument list never nests parentheses.
@@ -528,7 +537,6 @@ def register_circuit_family(key: str, factory: Callable[..., "Aig"], *,
     if replace and key in _FAMILIES.entries:
         _purge_family_instances(key)
     _FAMILIES.add(entry, replace=replace)
-    _bump_generation()
     return entry
 
 
@@ -537,7 +545,6 @@ def unregister_circuit_family(key: str, missing_ok: bool = False) -> None:
     if _FAMILIES.remove(key, missing_ok=missing_ok) is None:
         return
     _purge_family_instances(key)
-    _bump_generation()
 
 
 def _purge_family_instances(key: str) -> None:
@@ -668,9 +675,8 @@ def resolve_family_spec(spec: str) -> str:
     """Resolve a spec to its canonical circuit key, registering the
     instance circuit on first use.
 
-    The instance registration is content-addressed (the normalized
-    spec *is* the parameters), so it does not bump the registry
-    generation — warm caches keyed by other names stay valid.
+    The instance is a new registration under a new name; no other
+    registration changes, so warm caches keyed by content stay valid.
     """
     family, params = parse_family_spec(spec)
     entry = _FAMILIES.entries[family]
@@ -686,7 +692,6 @@ def resolve_family_spec(spec: str) -> str:
             function=entry.function, family=family)
         _CIRCUITS.add(instance, replace=True)
         _CIRCUIT_CACHE.pop(canonical, None)
-        # Deliberately no _bump_generation() here (see docstring).
     return canonical
 
 

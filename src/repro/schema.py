@@ -36,6 +36,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import registry
 from repro.cache import canonical, stable_hash
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig, PAPER_CONFIG, is_finite
@@ -815,25 +816,30 @@ class OptimizeReport:
 # -- the store record shape ----------------------------------------------------
 #
 # One completed point, as persisted by the sweep result stores and as
-# appended by the serving engine.  The shape predates this module (it
-# is what every existing sweep store on disk holds), so the helpers
-# here are the compatibility contract: ``store_record`` writes exactly
-# the historical layout and ``flow_from_record`` reads it back.
+# appended by the serving engine.  ``task_key`` names the question and
+# ``content`` (:func:`repro.registry.content_key`) the definitions that
+# answered it; readers count a record only while they match.
 
 
 def store_record(query: PowerQuery, flow: CircuitFlowResult,
-                 elapsed_s: float) -> Dict[str, Any]:
+                 elapsed_s: float,
+                 content: Optional[str] = None) -> Dict[str, Any]:
     """The stored form of one completed point.
 
     ``result`` holds the raw :class:`CircuitFlowResult` floats; JSON
     round-trips doubles exactly, so a record read back compares
-    bit-identically to the in-memory computation.
+    bit-identically to the in-memory computation.  ``content`` is the
+    content key the point was priced from (default: that of the
+    circuit's and library's current registrations).
     """
+    if content is None:
+        content = registry.content_key(query.circuit, query.library)
     return {
         "task_key": query.query_key,
         "circuit": query.circuit,
         "library": query.library,
         "config": query.config.to_dict(),
+        "content": content,
         "result": asdict(flow),
         "elapsed_s": elapsed_s,
     }

@@ -6,9 +6,14 @@ to :meth:`repro.api.Session.run` for the same (circuit, library,
 config) triple, while keeping every expensive intermediate warm:
 
 * **results** — finished reports, LRU-keyed by ``query_key`` (the
-  sweep-task content hash), so a repeated identical query is a
-  dictionary lookup (``cache_status: "hot"``).  Each report enters
-  with its JSON already encoded
+  sweep-task content hash) and the content key of the circuit and
+  library definitions that answered it
+  (:func:`repro.registry.content_key`), so a repeated identical query
+  is a dictionary lookup (``cache_status: "hot"``), and redefining a
+  circuit or library under the same name makes its answers
+  unreachable, never stale.  An answer whose circuit or library was
+  re-registered while it was priced is returned but kept nowhere.
+  Each report enters with its JSON already encoded
   (:meth:`~repro.schema.PowerQuoteReport.stable_json`), so the server
   encodes an answer once, not per request, and the encoding leaves
   with the entry;
@@ -40,9 +45,11 @@ leader's future and are answered from its result (``cache_status:
 "coalesced"``) — N clients asking for the same cold cell cost one
 synthesis, not N.
 
-All keys are ``stable_hash`` content hashes (:mod:`repro.cache`), so
-an optional sweep-format result store can warm-start the engine and
-every answer the engine computes can resume a sweep.
+All keys are content hashes, so an optional sweep-format result store
+can warm-start the engine and every answer the engine computes can
+resume a sweep.  A stored record counts only while its ``content``
+matches the current definitions; any other record is a miss,
+recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro import __version__, faults, foundry, obs, registry, timing
 from repro.api import Session
 from repro.cache import DISK_COUNTERS, LruCache
-from repro.errors import DeadlineExceeded
+from repro.errors import DeadlineExceeded, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.resilience import Deadline
 from repro.experiments.flow import (
@@ -77,9 +84,35 @@ from repro.schema import (
 from repro.sim import activity
 from repro.sim.backends import available_backends
 
-#: Default capacity of the result LRU (finished reports are tiny: a
-#: dataclass of floats).
+#: Capacity of the result LRU (finished reports are tiny: a dataclass
+#: of floats).
 DEFAULT_MAX_RESULTS = 4096
+
+
+def _registrations(query: PowerQuery) -> Optional[Tuple[Any, Any]]:
+    """The circuit and library registrations a leader is priced from
+    (None once either name is gone)."""
+    try:
+        return (registry.circuit_entry(query.circuit),
+                registry.library_entry(query.library))
+    except ExperimentError:
+        return None
+
+
+def _priced_content(query: PowerQuery,
+                    enrolled: Optional[Tuple[Any, Any]]) -> Optional[str]:
+    """The content key to keep a leader's answer under, or None when a
+    (re/un)registration replaced its circuit or library since
+    enrollment: the answer may then be either definition's."""
+    try:
+        content = registry.content_key(query.circuit, query.library)
+    except ExperimentError:
+        return None
+    current = _registrations(query)
+    if (enrolled is None or current is None or current[0] is not enrolled[0]
+            or current[1] is not enrolled[1]):
+        return None
+    return content
 
 
 class Engine:
@@ -90,7 +123,6 @@ class Engine:
             default for queries that omit one, and whose library
             selection seeds discovery.  Defaults to ``Session()``
             (the paper's configuration).
-        max_results: result LRU capacity.
         store: optional sweep-format result store (a
             :class:`~repro.sweep.store.ResultStore` or a path, suffix
             selecting the backend).  Every computed answer is appended
@@ -101,13 +133,11 @@ class Engine:
     """
 
     def __init__(self, session: Optional[Session] = None, *,
-                 max_results: int = DEFAULT_MAX_RESULTS,
                  store: Optional[Union[str, Path, Any]] = None):
         self.session = session if session is not None else Session()
-        self._results = LruCache("results", max_results)
+        self._results = LruCache("results", DEFAULT_MAX_RESULTS)
         self._lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
-        self._generation = registry.generation()
         self.counters: Counter = Counter()
         self.started_monotonic = time.monotonic()
         # /healthz reports the counter registry's diff against this
@@ -212,34 +242,7 @@ class Engine:
         with self._lock:
             self.counters[name] += amount
 
-    def flush(self) -> None:
-        """Flush durable state (the result store) to disk.
-
-        Called by the server's graceful-shutdown path after the last
-        in-flight request drains; safe to call at any time.
-        """
-        if self._store is not None:
-            self._store.flush()
-
     # -- query handling ----------------------------------------------------
-
-    def _revalidate_locked(self) -> None:
-        """Drop every name-keyed warm entry after a (re/un)registration.
-
-        A registration may have changed what a circuit/library name
-        means; every name-keyed warm entry is then suspect — including
-        stored records (their task_key hashes the *name*) and the
-        encoded answers the result entries carry.  The store
-        itself is last-write-wins, so recomputed answers simply
-        overwrite the stale lines.  (The netlist memo keys on the
-        generation itself, and the registry drops a re-registered
-        library's builds.)  Caller holds the engine lock.
-        """
-        if registry.generation() != self._generation:
-            self._results.clear()
-            self._store_index.clear()
-            self._generation = registry.generation()
-            self.counters["caches.invalidated"] += 1
 
     def normalize(self, query: PowerQuery) -> PowerQuery:
         """Canonicalize a query so aliases hit the same cache entries.
@@ -340,29 +343,41 @@ class Engine:
         :meth:`estimate`, :meth:`estimate_batch` and :meth:`optimize`.
 
         Under the engine lock each query is served hot (the result LRU,
-        then the store index), attached to an identical in-flight
-        leader's future, or enrolled as a leader; :meth:`_lead` prices
-        and commits every leader at once, then all wait on their
-        futures.  A follower whose leader ran out of *its* budget goes
-        round again as a leader.  Reports are stamped with how they
-        were served and the time since ``start``.
+        then a store record priced from the current definitions),
+        attached to an identical in-flight leader's future, or enrolled
+        as a leader; :meth:`_lead` prices and commits every leader at
+        once, then all wait on their futures.  A follower whose leader
+        ran out of *its* budget goes round again as a leader.  Reports
+        are stamped with how they were served and the time since
+        ``start``.
         """
         reports: List[Optional[PowerQuoteReport]] = [None] * len(queries)
         pending = list(range(len(queries)))
         while pending:
-            leaders: Dict[str, PowerQuery] = {}
+            # Learning a content key may build a circuit: do it outside
+            # the lock, and only to check a stored record (a leader
+            # learns it while mapping).
+            lookups = []
+            for index in pending:
+                query = queries[index]
+                key = query.query_key
+                record = self._store_index.get(key)
+                content = registry.content_key(
+                    query.circuit, query.library,
+                    build=record is not None and "content" in record)
+                lookups.append((index, key, content, record))
+            leaders: Dict[str, Tuple[PowerQuery, Any]] = {}
             waiting: List[Tuple[int, Future, str]] = []
             with self._lock:
-                self._revalidate_locked()
-                generation = self._generation
-                for index in pending:
-                    key = queries[index].query_key
-                    report = self._results.get(key)
-                    if report is None and key in self._store_index:
+                for index, key, content, record in lookups:
+                    query = queries[index]
+                    report = self._results.get((key, content))
+                    if (report is None and record is not None
+                            and content is not None
+                            and record.get("content") == content):
                         report = quote_from_record(
-                            self._store_index[key],
-                            server_version=__version__)
-                        self._remember(key, report)
+                            record, server_version=__version__)
+                        self._remember((key, content), report)
                         self.counters["results.store"] += 1
                     if report is not None:
                         self.counters["results.hot"] += 1
@@ -374,11 +389,11 @@ class Engine:
                                         "coalesced"))
                     else:
                         self._inflight[key] = Future()
-                        leaders[key] = queries[index]
+                        leaders[key] = (query, _registrations(query))
                         waiting.append((index, self._inflight[key],
                                         "cold"))
             if leaders:
-                self._lead(leaders, deadline, generation)
+                self._lead(leaders, deadline)
             pending = []
             for index, future, status in waiting:
                 try:
@@ -402,17 +417,20 @@ class Engine:
                     status, time.perf_counter() - start)
         return reports  # type: ignore[return-value]
 
-    def _lead(self, leaders: Dict[str, PowerQuery], deadline: Deadline,
-              generation: int) -> None:
-        """Price the enrolled leaders (query key -> query) in one
-        :meth:`_price` call, commit them under the generation guard and
-        resolve their futures.  On failure the futures carry the
-        exception and nothing is written.
+    def _lead(self, leaders: Dict[str, Tuple[PowerQuery, Any]],
+              deadline: Deadline) -> None:
+        """Price the enrolled leaders (query key -> the query and the
+        registrations it was enrolled against) in one :meth:`_price`
+        call, commit each answer under the content key it was priced
+        from and resolve their futures.  On failure the futures carry
+        the exception and nothing is written.
         """
-        batch = list(leaders.values())
+        batch = [query for query, _ in leaders.values()]
         start = time.perf_counter()
         try:
             flows = self._price(batch, deadline)
+            contents = [_priced_content(query, enrolled)
+                        for query, enrolled in leaders.values()]
         except BaseException as exc:
             with self._lock:
                 futures = [self._inflight.pop(key) for key in leaders]
@@ -428,28 +446,27 @@ class Engine:
         for quote in quotes:
             quote.stable_json()  # outside the lock; every serving shares it
         with self._lock:
-            # A re-registration while we computed may have changed what
-            # the circuit/library names mean; results built from the old
-            # definitions must not enter any cache or the store.
-            still_fresh = (registry.generation() == generation
-                           and self._generation == generation)
             futures = [self._inflight.pop(key) for key in leaders]
-            for key, quote in zip(leaders, quotes):
-                if still_fresh:
-                    self._remember(key, quote)
+            for key, content, quote in zip(leaders, contents, quotes):
+                if content is not None:
+                    self._remember((key, content), quote)
             self.counters["results.cold"] += len(quotes)
         for future, quote in zip(futures, quotes):
             future.set_result(quote)
-        if self._store is not None and still_fresh:
-            records = [store_record(query, quote.result, quote.elapsed_s)
-                       for query, quote in zip(batch, quotes)]
+        if self._store is not None:
+            records = [store_record(query, quote.result, quote.elapsed_s,
+                                    content)
+                       for query, quote, content in zip(batch, quotes,
+                                                        contents)
+                       if content is not None]
             for record in records:
                 self._store.append(record)
             with self._lock:
-                if self._generation == generation:
-                    self._store_index.update(zip(leaders, records))
+                self._store_index.update(
+                    (record["task_key"], record) for record in records)
 
-    def _remember(self, key: str, report: PowerQuoteReport) -> None:
+    def _remember(self, key: Tuple[str, str],
+                  report: PowerQuoteReport) -> None:
         """Put a report in the result LRU with its JSON encoded: the
         encoding lives and dies with the entry.  Caller holds the
         engine lock."""
@@ -475,11 +492,3 @@ class Engine:
                                                  query.config)))
         deadline.check("estimate")
         return price_mapped(points, deadline)
-
-    # -- registration passthroughs ----------------------------------------
-
-    @staticmethod
-    def register_blif_circuit(path: str, **kwargs):
-        """Register a BLIF netlist on the live engine (see
-        :func:`repro.registry.register_blif_circuit`)."""
-        return registry.register_blif_circuit(path, **kwargs)

@@ -204,7 +204,6 @@ def _worker_main(slot: int, sock: socket.socket, config,
         server.begin_drain()
         admin.begin_drain()
         server.wait_idle(timeout=drain_timeout_s)
-        engine.flush()
         server.shutdown()
         admin.shutdown()
 
@@ -448,16 +447,6 @@ class FleetSupervisor:
                                          name="monitor", daemon=True)
         self._monitor.start()
         self._log(f"control endpoint on {self.control_url}")
-
-    def wait_ready(self, timeout: float = 60.0) -> bool:
-        """Block until at least one worker heartbeats ready."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.n_ready() > 0:
-                return True
-            if self._stop.wait(0.05):
-                return False
-        return False
 
     def initiate_shutdown(self, reason: str = "") -> None:
         """Signal-handler safe: ask the fleet to drain and stop."""

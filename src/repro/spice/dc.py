@@ -32,6 +32,7 @@ from repro.spice.netlist import (
     Resistor,
     VoltageSource,
     canonical_node,
+    element_nodes,
 )
 from repro.devices.model import drain_current
 
@@ -84,7 +85,7 @@ class _System:
         self.circuit = circuit
         self.node_index: Dict[str, int] = {}
         for element in circuit.elements:
-            for node in _terminals(element):
+            for node in element_nodes(element):
                 node = canonical_node(node)
                 if node != GROUND and node not in self.node_index:
                     self.node_index[node] = len(self.node_index)
@@ -195,19 +196,6 @@ class _System:
                 raise NetlistError(
                     f"unsupported element {type(element).__name__}")
         return f, jac
-
-
-def _terminals(element) -> List[str]:
-    if isinstance(element, (Resistor, Capacitor)):
-        return [element.node_a, element.node_b]
-    if isinstance(element, (VoltageSource, CurrentSource)):
-        return [element.node_pos, element.node_neg]
-    if isinstance(element, Mosfet):
-        return [element.drain, element.gate, element.source]
-    if isinstance(element, AmbipolarFet):
-        return [element.drain, element.gate, element.polarity_gate,
-                element.source]
-    raise NetlistError(f"unknown element type {type(element).__name__}")
 
 
 def _newton(system: _System, x0: np.ndarray, gmin: float,

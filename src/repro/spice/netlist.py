@@ -191,7 +191,7 @@ class Circuit:
         """All node names referenced by the circuit, ground excluded."""
         seen: Dict[str, None] = {}
         for element in self.elements:
-            for node in _element_nodes(element):
+            for node in element_nodes(element):
                 if node not in (GROUND, "gnd") and node not in seen:
                     seen[node] = None
         return list(seen)
@@ -201,7 +201,7 @@ class Circuit:
         return [e for e in self.elements if isinstance(e, VoltageSource)]
 
 
-def _element_nodes(element: Element) -> List[str]:
+def element_nodes(element: Element) -> List[str]:
     """Terminal node names of an element."""
     if isinstance(element, (Resistor, Capacitor)):
         return [element.node_a, element.node_b]

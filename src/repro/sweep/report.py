@@ -22,8 +22,8 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.circuits.suite import benchmark_suite
 from repro.errors import ExperimentError
+from repro.schema import flow_from_record
 from repro.sweep.spec import DEFAULT_LIBRARIES
-from repro.sweep.store import flow_result
 
 #: The config fields that define an operating point (everything except
 #: the subject / library identity).  seed, state_patterns and the
@@ -73,7 +73,7 @@ def _library_rank(key: str) -> Tuple[int, str]:
 
 def _flat_row(record: Dict[str, Any]) -> Dict[str, Any]:
     config = record["config"]
-    flow = flow_result(record)
+    flow = flow_from_record(record)
     return {
         "circuit": record["circuit"],
         "library": record["library"],
@@ -136,7 +136,7 @@ def render_table1(records: List[Dict[str, Any]]) -> str:
             headers = ["Circuit", "No.", "Delay(ps)", "PD(uW)",
                        "PS(uW)", "PT(uW)", "EDP(1e-24Js)"]
             rows: List[List[Any]] = []
-            flows = [flow_result(record) for record in rows_in]
+            flows = [flow_from_record(record) for record in rows_in]
             for record, flow in zip(rows_in, flows):
                 rows.append([record["circuit"], flow.gate_count,
                              f"{flow.delay_ps:.0f}", f"{flow.pd_uw:.2f}",
@@ -187,7 +187,7 @@ def render_vdd_series(records: List[Dict[str, Any]]) -> str:
         headers = ["VDD(V)", "PD(uW)", "PS(uW)", "PT(uW)", "EDP(1e-24Js)"]
         rows = []
         for record in group:
-            flow = flow_result(record)
+            flow = flow_from_record(record)
             rows.append([f"{record['config']['vdd']:g}",
                          f"{flow.pd_uw:.3f}", f"{flow.ps_uw:.4f}",
                          f"{flow.pt_uw:.3f}",

@@ -2,7 +2,8 @@
 
 ``run_sweep`` is a thin wrapper over :meth:`repro.api.Session.sweep`,
 kept for its established signature.  The session expands the spec,
-drops every task whose key the store already holds, groups the rest by
+drops every task the store already holds a current answer for
+(:func:`repro.sweep.store.missing_tasks`), groups the rest by
 *activity* (:func:`activity_group_key`: everything that shapes the
 bit-parallel simulation — circuit, library, synthesis and mapper
 options, pattern budget, seed, backend — i.e. every axis except the
@@ -39,9 +40,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro import obs
 from repro.experiments.flow import mapped_netlist, price_mapped
 from repro.registry import cached_library
+from repro.schema import store_record
 from repro.sim.activity import pricing_group_key
 from repro.sweep.spec import SweepSpec, SweepTask
-from repro.sweep.store import ResultStore, record_for
+from repro.sweep.store import ResultStore
 
 
 def _task_netlist(task: SweepTask):
@@ -102,7 +104,7 @@ def run_sweep_group(tasks: Sequence[SweepTask]) -> Dict[str, Any]:
     # One wall-clock measurement, apportioned evenly: per-point times
     # are not separable once the simulation is shared.
     per_point = (time.perf_counter() - start) / max(1, len(tasks))
-    return {"records": [record_for(task, flow, per_point)
+    return {"records": [store_record(task, flow, per_point)
                         for task, flow in zip(tasks, flows)],
             "simulations": obs.diff(before)["activity.computes"]}
 
@@ -164,12 +166,14 @@ def run_sweep(spec: SweepSpec, store: ResultStore,
               jobs: Optional[int] = 1,
               verbose: bool = False,
               echo: Callable[[str], None] = print) -> SweepRunReport:
-    """Run every not-yet-stored point of a sweep grid.
+    """Run every point of a sweep grid the store holds no current
+    answer for.
 
     Args:
         spec: the grid to cover.
-        store: result store; points whose task key it already holds
-            are served from it and never re-executed.
+        store: result store; points it holds a record for, priced from
+            the current circuit and library definitions, are served
+            from it and never re-executed.
         jobs: worker processes (1 = serial, 0/None = all CPUs; clamped
             to the CPU count).
         verbose: one line per completed point, streamed as it lands.

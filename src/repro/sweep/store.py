@@ -11,10 +11,12 @@ chosen by file suffix in :func:`open_store`:
 * **SQLite** (``.sqlite`` / ``.sqlite3`` / ``.db``): one table keyed
   by ``task_key``, ``INSERT OR REPLACE`` semantics.
 
-Resume falls out of the keying: a sweep run loads the store's key set
-and only executes tasks whose key is absent, so interrupting a sweep
-loses at most the points in flight and re-running a finished sweep
-executes nothing.
+Resume falls out of the keying: a sweep run only executes tasks the
+store holds no current record for (:func:`missing_tasks`), so
+interrupting a sweep loses at most the points in flight and re-running
+a finished sweep executes nothing.  A record is current while its
+``content`` matches the registered circuit and library: redefining a
+circuit under the same name re-executes its points.
 """
 
 from __future__ import annotations
@@ -22,31 +24,14 @@ from __future__ import annotations
 import json
 import sqlite3
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
+from repro import registry
 from repro.errors import ExperimentError
-from repro.experiments.flow import CircuitFlowResult
-from repro.schema import flow_from_record, store_record
 from repro.sweep.spec import SweepSpec, SweepTask
 
 #: Suffixes routed to the SQLite backend.
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-
-
-def record_for(task: SweepTask, flow: CircuitFlowResult,
-               elapsed_s: float) -> Dict[str, Any]:
-    """The stored form of one completed point.
-
-    The layout is the shared wire format of :mod:`repro.schema`
-    (:func:`repro.schema.store_record`): the serving engine appends
-    and reads the very same records.
-    """
-    return store_record(task, flow, elapsed_s)
-
-
-def flow_result(record: Dict[str, Any]) -> CircuitFlowResult:
-    """Rehydrate the :class:`CircuitFlowResult` of a stored record."""
-    return flow_from_record(record)
 
 
 class ResultStore:
@@ -57,11 +42,12 @@ class ResultStore:
 
     def keys(self) -> Set[str]:
         """Task keys of every stored point."""
-        raise NotImplementedError
+        return {record["task_key"] for record in self.records()}
 
     def records(self) -> List[Dict[str, Any]]:
         """All stored records, oldest first, last write per key wins."""
-        raise NotImplementedError
+        return [record for record in self.all_records()
+                if not record.get("poison")]
 
     def append(self, record: Dict[str, Any]) -> None:
         """Persist one completed point."""
@@ -73,15 +59,6 @@ class ResultStore:
             if record.get("task_key") == task_key:
                 return record
         return None
-
-    def flush(self) -> None:
-        """Ensure appended records are durable.
-
-        Both persistent backends write through on every append (the
-        JSONL handle is opened, written and closed per record; SQLite
-        commits per statement), so the base implementation is a no-op —
-        it exists so graceful shutdown can flush any store uniformly.
-        """
 
     def poison_keys(self) -> Set[str]:
         """Task keys quarantined as poison (see :func:`poison_record`)."""
@@ -127,14 +104,6 @@ class MemoryResultStore(ResultStore):
         super().__init__(":memory:")
         self._records: Dict[str, Dict[str, Any]] = {}
 
-    def keys(self) -> Set[str]:
-        return {key for key, record in self._records.items()
-                if not record.get("poison")}
-
-    def records(self) -> List[Dict[str, Any]]:
-        return [record for record in self._records.values()
-                if not record.get("poison")]
-
     def all_records(self) -> List[Dict[str, Any]]:
         return list(self._records.values())
 
@@ -148,10 +117,10 @@ class MemoryResultStore(ResultStore):
 class JsonlResultStore(ResultStore):
     """Append-only JSON-lines store (the default backend)."""
 
-    def _lines(self) -> List[Dict[str, Any]]:
+    def all_records(self) -> List[Dict[str, Any]]:
         if not self.path.exists():
             return []
-        out: List[Dict[str, Any]] = []
+        by_key: Dict[str, Dict[str, Any]] = {}
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
@@ -164,20 +133,7 @@ class JsonlResultStore(ResultStore):
                     # simply not finished and will be recomputed.
                     continue
                 if isinstance(record, dict) and "task_key" in record:
-                    out.append(record)
-        return out
-
-    def keys(self) -> Set[str]:
-        return {record["task_key"] for record in self.records()}
-
-    def records(self) -> List[Dict[str, Any]]:
-        return [record for record in self.all_records()
-                if not record.get("poison")]
-
-    def all_records(self) -> List[Dict[str, Any]]:
-        by_key: Dict[str, Dict[str, Any]] = {}
-        for record in self._lines():
-            by_key[record["task_key"]] = record
+                    by_key[record["task_key"]] = record
         return list(by_key.values())
 
     def append(self, record: Dict[str, Any]) -> None:
@@ -202,13 +158,6 @@ class SqliteResultStore(ResultStore):
 
     def _connect(self) -> sqlite3.Connection:
         return sqlite3.connect(self.path)
-
-    def keys(self) -> Set[str]:
-        return {record["task_key"] for record in self.records()}
-
-    def records(self) -> List[Dict[str, Any]]:
-        return [record for record in self.all_records()
-                if not record.get("poison")]
 
     def all_records(self) -> List[Dict[str, Any]]:
         with self._connect() as conn:
@@ -239,6 +188,23 @@ def open_store(path: Union[str, Path]) -> ResultStore:
     return JsonlResultStore(path)
 
 
+def missing_tasks(tasks: Sequence[SweepTask],
+                  store: ResultStore) -> List[SweepTask]:
+    """The tasks ``store`` holds no current answer for, in task order.
+
+    A stored record counts only while its ``content`` matches the
+    current registrations of its circuit and library.  One written for
+    an older definition, or before records carried ``content``, is a
+    miss: the point is recomputed and its record overwritten.
+    """
+    stored = {record["task_key"]: record.get("content")
+              for record in store.records()}
+    return [task for task in tasks
+            if stored.get(task.task_key) is None
+            or stored[task.task_key]
+            != registry.content_key(task.circuit, task.library)]
+
+
 def sweep_status(spec: SweepSpec, store: ResultStore) -> Dict[str, Any]:
     """How much of a spec's grid a store already holds.
 
@@ -247,8 +213,7 @@ def sweep_status(spec: SweepSpec, store: ResultStore) -> Dict[str, Any]:
     orientation.
     """
     tasks = spec.expand()
-    done_keys = store.keys()
-    missing = [task for task in tasks if task.task_key not in done_keys]
+    missing = missing_tasks(tasks, store)
     return {
         "spec_hash": spec.spec_hash,
         "total": len(tasks),

@@ -13,6 +13,7 @@ over the graph.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -303,6 +304,18 @@ class Aig:
         # and make the entry immortal, so store a self-sentinel.
         cache[self] = (stamp, None if value is self else value)
         return value
+
+    def content_key(self) -> str:
+        """Hash of everything a build produces — the graph's name, node
+        table, PIs and POs — memoized until the next mutation."""
+        memo = self.__dict__.get("_content_key")
+        if memo is None or memo[0] != self._version:
+            text = repr((self.name, self._fanins, self._pis, self._pi_names,
+                         self._pos, self._po_names))
+            memo = self._content_key = (
+                self._version,
+                hashlib.sha256(text.encode("utf-8")).hexdigest()[:32])
+        return memo[1]
 
     def same_structure(self, other: "Aig") -> bool:
         """True if two graphs are structurally identical (same node

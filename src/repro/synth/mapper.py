@@ -172,10 +172,6 @@ class _Mapper:
                     matched.append((cut, entry, delay))
                 self._matches[(node, phase)] = matched
 
-    def _load_estimate(self, node: int) -> float:
-        """Estimated output load of a node: its fanout count in pins."""
-        return self._loads[node]
-
     def _inv_delay(self, node: int) -> float:
         """Estimated delay of an inverter driving this node's load."""
         return self._inv_delays[node]

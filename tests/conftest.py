@@ -54,6 +54,30 @@ def tiny_config():
     return ExperimentConfig(n_patterns=2048, state_patterns=2048)
 
 
+#: Two definitions of one circuit name, ``foo``: a 3-input AND and a
+#: 3-input OR.
+FOO_BLIF = {
+    "and3": ".model foo\n.inputs a b c\n.outputs y\n"
+            ".names a b c y\n111 1\n.end\n",
+    "or3": ".model foo\n.inputs a b c\n.outputs y\n"
+           ".names a b c y\n1-- 1\n-1- 1\n--1 1\n.end\n",
+}
+
+
+@pytest.fixture
+def define_foo():
+    """``define_foo("and3")`` / ``define_foo("or3")`` (re-)registers the
+    BLIF circuit ``foo`` with that definition; it is unregistered after
+    the test."""
+    from repro import registry
+
+    def define(kind: str) -> None:
+        registry.register_blif_text(FOO_BLIF[kind], replace=True)
+
+    yield define
+    registry.unregister_circuit("foo", missing_ok=True)
+
+
 @pytest.fixture
 def cold_race(tmp_path, monkeypatch):
     """Run a call in two forked processes released together on one

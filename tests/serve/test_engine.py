@@ -1,5 +1,6 @@
 """The serving engine: cache statuses, counters, warm-path guarantees,
-coalescing, store warm-start and registry-generation invalidation."""
+coalescing, store warm-start and answers keyed by the content of the
+circuit and library definitions."""
 
 import threading
 import time
@@ -122,7 +123,8 @@ class TestEngineCaching:
             engine.estimate_request("t481", "nope")
 
     def test_result_lru_evicts(self, tiny_config):
-        engine = Engine(Session(tiny_config), max_results=1)
+        engine = Engine(Session(tiny_config))
+        engine._results.maxsize = 1
         engine.estimate_request("t481", "cmos")
         engine.estimate_request("t481", "generalized")  # evicts the first
         again = engine.estimate_request("t481", "cmos")
@@ -374,8 +376,8 @@ class TestEngineStoreIntegration:
 
     def test_sweep_store_warm_starts_engine(self, tiny_config, tmp_path):
         """A finished sweep is a warm cache for a fresh server."""
+        from repro.schema import flow_from_record
         from repro.sweep.spec import SweepSpec
-        from repro.sweep.store import flow_result
 
         path = tmp_path / "sweep.jsonl"
         spec = SweepSpec(circuits=("t481",), libraries=("cmos",),
@@ -388,32 +390,35 @@ class TestEngineStoreIntegration:
         assert report.cache_status == "hot"
         assert engine.counters["results.store"] == 1
         assert engine.counters.get("results.cold", 0) == 0
-        stored = flow_result(
+        stored = flow_from_record(
             Session(tiny_config).sweep(spec, path).store.get(
                 report.query_key))
         assert report.result == stored
 
 
 class TestEngineInvalidation:
-    def test_registration_change_flushes_caches(self, tiny_config):
+    def test_unrelated_registration_keeps_answers_hot(self, tiny_config):
+        """Answers are keyed by content: registering another circuit
+        leaves t481's definition, and so its answer, untouched."""
         from repro.circuits.adders import ripple_adder_circuit
 
         engine = Engine(Session(tiny_config))
-        engine.estimate_request("t481", "cmos")
+        first = engine.estimate_request("t481", "cmos")
         registry.register_circuit(
             "flush-probe", lambda: ripple_adder_circuit(2, name="fp"))
         try:
             again = engine.estimate_request("t481", "cmos")
         finally:
             registry.unregister_circuit("flush-probe")
-        assert again.cache_status == "cold"
-        assert engine.counters["caches.invalidated"] == 1
+        assert again.cache_status == "hot"
+        assert again.result == first.result
+        assert engine.counters["results.cold"] == 1
 
     def test_replaced_circuit_not_served_stale_from_store(
             self, tiny_config, tmp_path):
-        """Generation invalidation must cover the store index too: a
-        re-registered name means a different circuit, so its stored
-        record may not be served hot."""
+        """Content keys cover the store index too: a re-registered name
+        means a different circuit, so its stored record may not be
+        served hot."""
         from repro.circuits.adders import (
             parity_tree_circuit,
             ripple_adder_circuit,
@@ -474,6 +479,58 @@ class TestEngineInvalidation:
         assert fresh.cache_status == "cold"
         assert fresh.result == direct
         assert fresh.result.gate_count != stale.result.gate_count
+
+    def test_reregistration_before_mapping_is_not_kept(
+            self, tiny_config, tmp_path, monkeypatch, define_foo):
+        """A definition replaced between a leader's enrollment and its
+        mapping is priced, but the answer is kept nowhere: once the
+        first definition is restored, the next answer is its own."""
+        from repro.serve import engine as engine_module
+
+        engine = Engine(Session(tiny_config),
+                        store=tmp_path / "serve.jsonl")
+        real_mapped_netlist = engine_module.mapped_netlist
+
+        def redefine_then_map(circuit, library, config):
+            define_foo("or3")
+            return real_mapped_netlist(circuit, library, config)
+
+        define_foo("and3")
+        monkeypatch.setattr(engine_module, "mapped_netlist",
+                            redefine_then_map)
+        raced = engine.estimate_request("foo", "cmos")
+        monkeypatch.setattr(engine_module, "mapped_netlist",
+                            real_mapped_netlist)
+        define_foo("and3")
+        restored = engine.estimate_request("foo", "cmos")
+        direct = Session(tiny_config).run("foo", "cmos")
+        assert raced.cache_status == "cold"
+        assert raced.result != direct
+        assert restored.cache_status == "cold"
+        assert restored.result == direct
+
+    def test_restart_on_a_redefined_circuit_recomputes(
+            self, tiny_config, tmp_path, define_foo):
+        """A store outlives the process, not the definitions: a fresh
+        engine on a store written for ``foo`` as an AND answers ``foo``
+        as an OR cold, not from the AND's record."""
+        path = tmp_path / "serve.jsonl"
+        define_foo("and3")
+        first = Engine(Session(tiny_config), store=path).estimate_request(
+            "foo", "cmos")
+        define_foo("or3")
+        restarted = Engine(Session(tiny_config), store=path)
+        answer = restarted.estimate_request("foo", "cmos")
+        assert first.cache_status == "cold"
+        assert answer.cache_status == "cold"
+        assert answer.result == Session(tiny_config).run("foo", "cmos")
+        assert answer.result != first.result
+        assert restarted.counters.get("results.store", 0) == 0
+        # The recomputed answer replaced the stale record.
+        again = Engine(Session(tiny_config), store=path).estimate_request(
+            "foo", "cmos")
+        assert again.cache_status == "hot"
+        assert again.result == answer.result
 
     def test_replaced_circuit_is_recomputed(self, tiny_config):
         from repro.circuits.adders import (

@@ -16,13 +16,13 @@ from repro.sweep.runner import (
     group_tasks,
 )
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import flow_result, record_for
+from repro.schema import flow_from_record, store_record
 
 
 def _per_point(task):
     """One point priced alone through the shared routine."""
     (flow,) = price_mapped([(task, _task_netlist(task))])
-    return record_for(task, flow, 0.0)
+    return store_record(task, flow, 0.0)
 
 PATTERNS = 2048
 
@@ -89,7 +89,7 @@ class TestGroupedExecution:
             grouped = store.get(task.task_key)
             per_point = _per_point(task)
             assert grouped["result"] == per_point["result"]
-            assert flow_result(grouped) == flow_result(per_point)
+            assert flow_from_record(grouped) == flow_from_record(per_point)
 
     def test_non_bitsim_backend_falls_back_per_point(self, tmp_path):
         spec = SweepSpec(circuits=("t481",), libraries=("generalized",),
@@ -126,7 +126,7 @@ class TestReregistration:
         finally:
             registry.unregister_circuit("x", missing_ok=True)
         (record,) = report.store.records()
-        assert flow_result(record) == direct
+        assert flow_from_record(record) == direct
         assert direct.gate_count != Session(config).run("t481",
                                                         "cmos").gate_count
 
@@ -170,7 +170,7 @@ class TestFullPaperGridIdentity:
                                 fanout=config.fanout),
                 n_patterns=config.n_patterns, seed=config.seed,
                 state_patterns=config.state_patterns)
-            stored = flow_result(report.store.get(task.task_key))
+            stored = flow_from_record(report.store.get(task.task_key))
             assert stored.pd_w == expected.p_dynamic
             assert stored.ps_w == expected.p_static
             assert stored.pg_w == expected.p_gate_leak
@@ -192,5 +192,5 @@ class TestFullPaperGridIdentity:
                          if task.circuit == name and task.library == key
                          and task.config == config]
                 assert len(match) == 1
-                assert flow_result(report.store.get(
+                assert flow_from_record(report.store.get(
                     match[0].task_key)) == flow

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from repro.api import Session
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.table1 import reproduce_table1
 from repro.experiments.flow import price_mapped
+from repro.schema import flow_from_record, store_record
 from repro.sweep.runner import _task_netlist, run_sweep
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import JsonlResultStore, flow_result, record_for
+from repro.sweep.store import JsonlResultStore, sweep_status
 
 #: Tiny but non-degenerate budget; matches the parallel-runner tests.
 PATTERNS = 2048
@@ -38,7 +40,7 @@ class TestRunAndResume:
         # Pre-seed two of the four points.
         for task in tasks[:2]:
             (flow,) = price_mapped([(task, _task_netlist(task))])
-            store.append(record_for(task, flow, 0.0))
+            store.append(store_record(task, flow, 0.0))
         report = run_sweep(spec, store)
         assert (report.total, report.cached, report.executed) == (4, 2, 2)
         assert store.keys() == {task.task_key for task in tasks}
@@ -49,6 +51,25 @@ class TestRunAndResume:
         # The wider sweep reuses the vdd=0.9 points it contains.
         report = run_sweep(_tiny_spec(vdd=(0.8, 0.9)), store)
         assert (report.total, report.cached, report.executed) == (4, 2, 2)
+
+    def test_redefined_circuit_is_re_executed(self, tmp_path, define_foo):
+        """Resume counts a stored point only while the circuit it was
+        priced from is still the registered one."""
+        define_foo("and3")
+        spec = SweepSpec(circuits=("foo",), libraries=("cmos",),
+                         n_patterns=(PATTERNS,))
+        (task,) = spec.expand()
+        store = JsonlResultStore(tmp_path / "s.jsonl")
+        first = Session().sweep(spec, store)
+        assert sweep_status(spec, store)["missing"] == 0
+        define_foo("or3")
+        status = sweep_status(spec, store)
+        second = Session().sweep(spec, store)
+        assert (first.executed, second.cached, second.executed) == (1, 0, 1)
+        assert (status["done"], status["missing"]) == (0, 1)
+        assert sweep_status(spec, store)["missing"] == 0
+        assert flow_from_record(store.get(task.task_key)) == \
+            Session(task.config).run("foo", "cmos")
 
     def test_verbose_stream(self, tmp_path):
         lines = []
@@ -84,7 +105,7 @@ class TestBitIdentity:
         for task in spec.expand():
             if task.config != config:
                 continue
-            stored = flow_result(store.get(task.task_key))
+            stored = flow_from_record(store.get(task.task_key))
             expected = table1.results[task.circuit][task.library]
             # Frozen dataclasses of floats: equality is bit-exact.
             assert stored == expected
@@ -96,7 +117,7 @@ class TestBitIdentity:
         spec = _tiny_spec(vdd=(0.7, 0.9), libraries=("cmos",))
         store = JsonlResultStore(tmp_path / "s.jsonl")
         run_sweep(spec, store)
-        flows = {task.config.vdd: flow_result(store.get(task.task_key))
+        flows = {task.config.vdd: flow_from_record(store.get(task.task_key))
                  for task in spec.expand()}
         assert flows[0.7].delay_s != flows[0.9].delay_s
         # Static power must not be a pure linear rescale of the 0.9 V
@@ -110,5 +131,5 @@ class TestBitIdentity:
         run_sweep(spec, serial, jobs=1)
         run_sweep(spec, fanned, jobs=2)
         for task in spec.expand():
-            assert flow_result(serial.get(task.task_key)) == \
-                   flow_result(fanned.get(task.task_key))
+            assert flow_from_record(serial.get(task.task_key)) == \
+                   flow_from_record(fanned.get(task.task_key))

@@ -6,15 +6,15 @@ import json
 
 import pytest
 
+from repro import registry
 from repro.errors import ExperimentError
 from repro.experiments.flow import CircuitFlowResult
+from repro.schema import flow_from_record, store_record
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import (
     JsonlResultStore,
     SqliteResultStore,
-    flow_result,
     open_store,
-    record_for,
     require_store,
     sweep_status,
 )
@@ -115,13 +115,13 @@ class TestRecordHelpers:
             pt_w=3.7365041159260723e-06, edp_js=2.0347296086983944e-24)
         task = SweepSpec(circuits=("t481",),
                          libraries=("cmos",)).expand()[0]
-        record = record_for(task, flow, 0.5)
+        record = store_record(task, flow, 0.5)
         store = JsonlResultStore(tmp_path / "s.jsonl")
         store.append(record)
         loaded = store.records()[0]
         # JSON round-trips doubles exactly: frozen-dataclass equality
         # is bit-exact.
-        assert flow_result(loaded) == flow
+        assert flow_from_record(loaded) == flow
         assert json.dumps(loaded["result"], sort_keys=True) == \
                json.dumps(record["result"], sort_keys=True)
 
@@ -134,6 +134,8 @@ class TestStatus:
         tasks = spec.expand()
         record = _fake_record("x")
         record["task_key"] = tasks[0].task_key
+        record["content"] = registry.content_key(tasks[0].circuit,
+                                                 tasks[0].library)
         store.append(record)
         status = sweep_status(spec, store)
         assert status["total"] == 2

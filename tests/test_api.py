@@ -216,14 +216,14 @@ class TestSessionSweep:
     def test_matches_table1_at_paper_point(self, golden_config):
         """Sweep results through the Session agree with the Table 1 grid
         (the bit-identity chain: golden -> table1 -> sweep)."""
+        from repro.schema import flow_from_record
         from repro.sweep.spec import SweepSpec
-        from repro.sweep.store import flow_result
 
         spec = SweepSpec(circuits=("t481",),
                          n_patterns=(golden_config.n_patterns,),
                          state_patterns=golden_config.state_patterns)
         report = Session(golden_config).sweep(spec)
-        stored = {record["library"]: flow_result(record)
+        stored = {record["library"]: flow_from_record(record)
                   for record in report.store.records()}
         table = Session(golden_config).table1(benchmarks=["t481"])
         for key, flow in table.results["t481"].items():

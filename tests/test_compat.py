@@ -2,8 +2,11 @@
 configs that still carry the removed ``sim_kernel`` execution knob.
 
 Sweep stores and request bodies written while configs had a
-``sim_kernel`` field must load, hash to the same ``query_key`` and
-warm-start a server exactly as before.
+``sim_kernel`` field must load and hash to the same ``query_key``.
+Store records written before records carried ``content`` (the content
+key of the circuit and library they were priced from) are recomputed
+once, point by point; a record carrying ``content`` warm-starts a
+server whatever its config spelling.
 """
 
 import json

@@ -2,8 +2,8 @@
 specs anywhere a circuit name is accepted.
 
 Covers the grammar itself (parse / normalize / error paths), instance
-resolution through the registry (content-addressed, no generation
-bump), the ``synth:rand`` family, and end-to-end flow through
+resolution through the registry (content-addressed: resolving an
+instance keeps served answers hot), the ``synth:rand`` family, and end-to-end flow through
 :class:`repro.api.Session` and sweep stores.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import registry
 from repro.synth.aig import Aig
 from repro.circuits.families import random_mapped_netlist, synth_rand
 from repro.errors import ExperimentError
@@ -99,12 +98,17 @@ class TestResolution:
         # plain names keep resolving as before
         assert canonical_circuit("t481") == "t481"
 
-    def test_resolve_does_not_bump_generation(self):
-        spec = "synth:rand(gates=61,seed=987)"
-        before = registry.generation()
-        key = resolve_family_spec(spec)
+    def test_resolve_keeps_served_answers_hot(self, tiny_config):
+        """Resolving a new spec registers one more instance and changes
+        no other definition, so every served answer stays hot."""
+        from repro.api import Session
+        from repro.serve import Engine
+
+        engine = Engine(Session(tiny_config))
+        engine.estimate_request("t481", "cmos")
+        key = resolve_family_spec("synth:rand(gates=61,seed=987)")
         assert key in available_circuits()
-        assert registry.generation() == before
+        assert engine.estimate_request("t481", "cmos").cache_status == "hot"
 
     def test_family_registered_in_listing(self):
         assert "synth:rand" in available_circuit_families()
@@ -112,22 +116,34 @@ class TestResolution:
         assert dict(entry.defaults) == {"gates": 50000, "seed": 7,
                                         "inputs": 64, "outputs": 32}
 
-    def test_replace_purges_instances_and_bumps(self):
+    def test_replace_purges_instances_and_cools_their_answers(
+            self, tiny_config):
+        """Replacing a family replaces what its instance names mean:
+        their answers go cold and are recomputed from the new family."""
+        from repro.api import Session
+        from repro.serve import Engine
+
         register_circuit_family(
             "test:fam", lambda n=4: synth_rand(gates=n, seed=0),
             defaults={"n": 4}, replace=True)
         try:
             key = resolve_family_spec("test:fam(n=5)")
             assert key in available_circuits()
-            before = registry.generation()
+            engine = Engine(Session(tiny_config))
+            engine.estimate_request(key, "cmos")
+            assert engine.estimate_request(key, "cmos").cache_status \
+                == "hot"
             register_circuit_family(
                 "test:fam", lambda n=4: synth_rand(gates=n, seed=1),
                 defaults={"n": 4}, replace=True)
             assert key not in available_circuits()
-            assert registry.generation() > before
+            replaced = engine.estimate_request(key, "cmos")
+            direct = Session(tiny_config).run(key, "cmos")
         finally:
             unregister_circuit_family("test:fam", missing_ok=True)
         assert "test:fam" not in available_circuit_families()
+        assert replaced.cache_status == "cold"
+        assert replaced.result == direct
 
     def test_unregister_purges_instances(self):
         register_circuit_family(

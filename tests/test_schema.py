@@ -218,18 +218,22 @@ class TestSchemaV2TimingFields:
 
 class TestStoreRecordShape:
     def test_matches_sweep_store_layout(self):
-        """store_record writes exactly what the sweep stores hold."""
-        from repro.sweep.store import record_for
+        """store_record writes exactly what the sweep stores hold,
+        stamped with the content key of the current definitions."""
+        from repro import registry
+        from repro.sweep.runner import run_sweep_group
 
         config = ExperimentConfig(n_patterns=2048, state_patterns=2048)
         task = SweepTask("t481", "cmos", config)
         flow = _flow()
         via_schema = store_record(task, flow, 1.5)
-        via_store = record_for(task, flow, 1.5)
-        assert via_schema == via_store
-        assert set(via_schema) == {"task_key", "circuit", "library",
-                                   "config", "result", "elapsed_s"}
+        (via_sweep,) = run_sweep_group([task])["records"]
+        assert set(via_schema) == set(via_sweep) == {
+            "task_key", "circuit", "library", "config", "content",
+            "result", "elapsed_s"}
         assert via_schema["task_key"] == task.task_key
+        assert via_schema["content"] == via_sweep["content"] \
+            == registry.content_key("t481", "cmos")
         assert flow_from_record(via_schema) == flow
 
     def test_quote_from_record(self):
