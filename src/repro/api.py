@@ -293,8 +293,8 @@ class Session:
 
         Args:
             spec: a :class:`~repro.sweep.spec.SweepSpec`.
-            store: a :class:`~repro.sweep.store.ResultStore`, a path
-                (suffix selects the backend), or ``None`` for a fresh
+            store: a :class:`~repro.sweep.store.ResultStore`, the path
+                of its JSON-lines file, or ``None`` for a fresh
                 in-memory store.
             verbose: one line per completed point, streamed.
             echo: sink for verbose lines (tests capture it).
@@ -312,18 +312,10 @@ class Session:
             group_tasks,
             run_sweep_group,
         )
-        from repro.sweep.store import (
-            MemoryResultStore,
-            ResultStore,
-            missing_tasks,
-            open_store,
-            poison_record,
-        )
+        from repro.sweep.store import ResultStore, missing_tasks, poison_record
 
-        if store is None:
-            store = MemoryResultStore()
-        elif not isinstance(store, ResultStore):
-            store = open_store(store)
+        if not isinstance(store, ResultStore):
+            store = ResultStore(store)
 
         start = time.perf_counter()
         tasks = spec.expand()
@@ -366,7 +358,7 @@ class Session:
 
         return SweepRunReport(
             spec_hash=spec.spec_hash,
-            store_path=str(store.path),
+            store_path=str(store),
             total=len(tasks),
             cached=len(tasks) - len(pending),
             executed=len(pending),

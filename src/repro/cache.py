@@ -549,6 +549,10 @@ class LruCache:
         with self._lock:
             self._data.clear()
 
+    def __contains__(self, key: Hashable) -> bool:
+        """Whether ``key`` is held, without counting or reordering."""
+        return key in self._data
+
     def __len__(self) -> int:
         return len(self._data)
 

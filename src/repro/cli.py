@@ -146,7 +146,7 @@ def _cmd_circuits(args) -> int:
         if detail:
             print(f"    {detail}")
         if args.verbose:
-            aig = registry.cached_circuit(key)
+            aig = registry.build_circuit(key)
             print(f"    {aig.n_pis} inputs, {aig.n_pos} outputs, "
                   f"{aig.n_nodes} AND nodes")
     return 0
@@ -326,12 +326,11 @@ def _spec_from_args(args):
 
 def _cmd_sweep_run(args) -> int:
     from repro.sweep.runner import run_sweep
-    from repro.sweep.store import open_store
+    from repro.sweep.store import ResultStore
 
     _register_blifs(args.blif)
     spec = _spec_from_args(args)
-    store = open_store(args.store)
-    report = run_sweep(spec, store, jobs=args.jobs,
+    report = run_sweep(spec, ResultStore(args.store), jobs=args.jobs,
                        verbose=not args.quiet)
     print(report.render())
     return 0
@@ -358,11 +357,11 @@ def _cmd_sweep_report(args) -> int:
 
 
 def _cmd_sweep_status(args) -> int:
-    from repro.sweep.store import open_store_for_read, sweep_status
+    from repro.sweep.store import ResultStore, sweep_status
 
     _register_blifs(args.blif)
     spec = _spec_from_args(args)
-    status = sweep_status(spec, open_store_for_read(args.store))
+    status = sweep_status(spec, ResultStore(args.store))
     print(f"sweep {status['spec_hash'][:12]}: "
           f"total={status['total']} done={status['done']} "
           f"missing={status['missing']} store={args.store}")
@@ -1150,8 +1149,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_axis_flags(run)
     run.add_argument("--store", default="sweep-results.jsonl",
                      metavar="FILE",
-                     help="result store path; .sqlite/.db selects the "
-                          "SQLite backend (default sweep-results.jsonl)")
+                     help="JSON-lines result store, one record per "
+                          "line; created on the first stored point "
+                          "(default sweep-results.jsonl)")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="worker processes (0 = all CPUs; clamped to "
                           "the CPU count); results are bit-identical "

@@ -7,7 +7,8 @@ the mapped netlists by the config-selected estimator backend (the
 paper's random-pattern bitsim by default).
 
 Circuits and libraries resolve through :mod:`repro.registry`; subjects
-and mapped netlists are memoized by the circuit's content key.
+are memoized on the circuit's registration and mapped netlists by its
+content key.
 """
 
 from __future__ import annotations
@@ -31,37 +32,36 @@ from repro.synth.scripts import resyn2rs
 from repro import registry
 
 
-#: Subject graphs by (circuit content key, synthesis flag): a process
-#: builds and synthesizes each circuit definition once.
-_SUBJECTS: Dict[Tuple[str, bool], Aig] = {}
+#: Where a circuit's registry entry keeps its subject graphs (synthesis
+#: flag -> subject), next to its content key: a (re/un)registration
+#: drops them with the entry.
+_SUBJECTS = "_subjects"
 
 
-def _subject(name: str, synthesize: bool) -> Tuple[str, Aig]:
-    """A registered circuit's (content key, subject graph); builds the
-    circuit at most once and keeps only the subject."""
-    content = registry.circuit_content_key(name, build=False)
-    subject = _SUBJECTS.get((content, synthesize))
+def _subject(entry: registry.CircuitEntry, synthesize: bool,
+             aig: Optional[Aig] = None) -> Aig:
+    """A registered circuit's subject graph, kept on its registry entry;
+    the first call synthesizes ``aig`` (default: a fresh build)."""
+    subjects = entry.__dict__.setdefault(_SUBJECTS, {})
+    subject = subjects.get(synthesize)
     if subject is None:
-        aig = registry.build_circuit(name)
-        content = aig.content_key()
-        subject = _SUBJECTS.get((content, synthesize))
-        if subject is None:
-            subject = synthesize_subject(
-                aig, ExperimentConfig(synthesize=synthesize))
-            _SUBJECTS[(content, synthesize)] = subject
-    return content, subject
+        if aig is None:
+            aig = registry.build_entry(entry)
+        subject = subjects[synthesize] = synthesize_subject(
+            aig, ExperimentConfig(synthesize=synthesize))
+    return subject
 
 
 def synthesized_benchmark(name: str, synthesize: bool) -> Aig:
-    """Build (and optionally resyn2rs) one circuit, memoized per process
-    by its content key.
+    """Build (and optionally resyn2rs) one circuit, memoized on its
+    registration.
 
     Any circuit registered with :func:`repro.registry.register_circuit`
     — the 12 Table 1 benchmarks, user BLIF netlists — resolves here.
     Construction and synthesis are deterministic, so every process
     derives the same subject graph.
     """
-    return _subject(name, synthesize)[1]
+    return _subject(registry.circuit_entry(name), synthesize)
 
 
 @dataclass(frozen=True)
@@ -138,14 +138,21 @@ def mapped_netlist(circuit: str, library: Library,
 
     Keyed by the circuit's content key, the library instance — whose id
     no other library can take while the entry's netlist holds it — and
-    the synthesis and mapper options.
+    the synthesis and mapper options.  The memo is asked before the
+    subject, so a re-registration of the same content maps from it
+    without synthesizing again.
     """
-    content, subject = _subject(circuit, config.synthesize)
+    entry = registry.circuit_entry(circuit)
+    content, aig = registry.entry_content_key(entry), None
+    if content is None:
+        aig = registry.build_entry(entry)
+        content = aig.content_key()
     key = (content, id(library), config.synthesize, config.mapper_cut_size,
            config.mapper_cut_limit, config.mapper_area_rounds)
     netlist = MAPPED_NETLISTS.get(key)
     if netlist is None:
-        netlist = map_subject(subject, library, config)
+        netlist = map_subject(_subject(entry, config.synthesize, aig),
+                              library, config)
         MAPPED_NETLISTS.put(key, netlist)
     return netlist
 

@@ -295,8 +295,6 @@ class CircuitEntry:
 
 
 _CIRCUITS = _Registry("circuit")
-#: Per-process build cache, keyed by canonical key.
-_CIRCUIT_CACHE: Dict[str, "Aig"] = {}
 
 
 def register_circuit(key: str, build: CircuitFactory, *,
@@ -317,8 +315,8 @@ def register_circuit(key: str, build: CircuitFactory, *,
         function: the functional class (the paper's "Function" column).
         paper: the paper's reference Table 1 rows for this circuit
             (built-in benchmarks only).
-        replace: allow re-registering an existing key (its cached
-            build is dropped); without it a collision raises.
+        replace: allow re-registering an existing key (the memos of
+            the old entry go with it); without it a collision raises.
 
     Raises:
         ExperimentError: on key/alias collisions (unless ``replace``).
@@ -327,7 +325,6 @@ def register_circuit(key: str, build: CircuitFactory, *,
                          description=description, function=function,
                          paper=paper)
     _CIRCUITS.add(entry, replace=replace)
-    _CIRCUIT_CACHE.pop(key, None)
     # A non-BLIF registration taking over a BLIF key must not leave a
     # stale source for worker replay (register_blif_text re-records).
     _BLIF_SOURCES.pop(key, None)
@@ -335,10 +332,9 @@ def register_circuit(key: str, build: CircuitFactory, *,
 
 
 def unregister_circuit(key: str, missing_ok: bool = False) -> None:
-    """Remove a registered circuit, its aliases and its cached build."""
+    """Remove a registered circuit, its aliases and its memos."""
     if _CIRCUITS.remove(key, missing_ok=missing_ok) is None:
         return
-    _CIRCUIT_CACHE.pop(key, None)
     _BLIF_SOURCES.pop(key, None)
 
 
@@ -377,26 +373,7 @@ def canonical_circuit(name: str) -> str:
 def build_circuit(name: str) -> "Aig":
     """Build a fresh AIG by key or alias (the graph is not cached),
     memoizing its :func:`circuit_content_key` on the way."""
-    entry = _CIRCUITS.entries[canonical_circuit(name)]
-    aig = entry.build()
-    entry.__dict__[_CONTENT_KEY] = aig.content_key()
-    return aig
-
-
-def cached_circuit(name: str) -> "Aig":
-    """Build a circuit once per process and reuse the AIG.
-
-    The experiment flow never mutates a subject graph (synthesis
-    derives new graphs, keyed by the source's mutation stamp), so
-    sharing one build between callers is safe and skips re-running the
-    generator.
-    """
-    key = canonical_circuit(name)
-    aig = _CIRCUIT_CACHE.get(key)
-    if aig is None:
-        aig = _CIRCUITS.entries[key].build()
-        _CIRCUIT_CACHE[key] = aig
-    return aig
+    return build_entry(_CIRCUITS.entries[canonical_circuit(name)])
 
 
 def paper_benchmarks() -> List[str]:
@@ -410,10 +387,25 @@ def paper_benchmarks() -> List[str]:
 #
 # An answer is a function of a circuit's built AIG and a library's cells,
 # not of their names.  Each registration's content key is memoized in
-# its entry's ``__dict__``: a (re/un)registration replaces the entry, and
-# with it the key.  A cache keyed by content never needs invalidating.
+# its entry's ``__dict__`` (the flow keeps a circuit's subject graphs
+# there too): a (re/un)registration replaces the entry, and with it the
+# key and the subjects.  A cache keyed by content never needs
+# invalidating.
 
 _CONTENT_KEY = "_content_key"
+
+
+def build_entry(entry: CircuitEntry) -> "Aig":
+    """Build a fresh AIG from one registration, memoizing its content
+    key on the entry."""
+    aig = entry.build()
+    entry.__dict__[_CONTENT_KEY] = aig.content_key()
+    return aig
+
+
+def entry_content_key(entry: CircuitEntry) -> Optional[str]:
+    """The content key memoized on a registration (None until built)."""
+    return entry.__dict__.get(_CONTENT_KEY)
 
 
 def circuit_content_key(name: str, build: bool = True) -> Optional[str]:
@@ -425,9 +417,9 @@ def circuit_content_key(name: str, build: bool = True) -> Optional[str]:
     """
     entry = (_CIRCUITS.entries.get(name)
              or _CIRCUITS.entries[canonical_circuit(name)])
-    key = entry.__dict__.get(_CONTENT_KEY)
+    key = entry_content_key(entry)
     if key is None and build:
-        key = entry.__dict__[_CONTENT_KEY] = entry.build().content_key()
+        key = build_entry(entry).content_key()
     return key
 
 
@@ -552,7 +544,6 @@ def _purge_family_instances(key: str) -> None:
                  if entry.family == key]
     for instance in instances:
         _CIRCUITS.remove(instance, missing_ok=True)
-        _CIRCUIT_CACHE.pop(instance, None)
 
 
 def available_circuit_families() -> List[str]:
@@ -691,7 +682,6 @@ def resolve_family_spec(spec: str) -> str:
             + " instance",
             function=entry.function, family=family)
         _CIRCUITS.add(instance, replace=True)
-        _CIRCUIT_CACHE.pop(canonical, None)
     return canonical
 
 

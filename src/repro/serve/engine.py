@@ -47,9 +47,9 @@ synthesis, not N.
 
 All keys are content hashes, so an optional sweep-format result store
 can warm-start the engine and every answer the engine computes can
-resume a sweep.  A stored record counts only while its ``content``
-matches the current definitions; any other record is a miss,
-recomputed and overwritten.
+resume a sweep.  A stored record counts only while it is
+:meth:`~repro.sweep.store.ResultStore.current`; any other record is a
+miss, recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ DEFAULT_MAX_RESULTS = 4096
 
 
 def _registrations(query: PowerQuery) -> Optional[Tuple[Any, Any]]:
-    """The circuit and library registrations a leader is priced from
+    """The circuit and library registrations a query is answered from
     (None once either name is gone)."""
     try:
         return (registry.circuit_entry(query.circuit),
@@ -101,9 +101,10 @@ def _registrations(query: PowerQuery) -> Optional[Tuple[Any, Any]]:
 
 def _priced_content(query: PowerQuery,
                     enrolled: Optional[Tuple[Any, Any]]) -> Optional[str]:
-    """The content key to keep a leader's answer under, or None when a
+    """The content key to keep an answer under, or None when a
     (re/un)registration replaced its circuit or library since
-    enrollment: the answer may then be either definition's."""
+    ``enrolled`` was taken: the answer may then be either
+    definition's."""
     try:
         content = registry.content_key(query.circuit, query.library)
     except ExperimentError:
@@ -124,12 +125,11 @@ class Engine:
             selection seeds discovery.  Defaults to ``Session()``
             (the paper's configuration).
         store: optional sweep-format result store (a
-            :class:`~repro.sweep.store.ResultStore` or a path, suffix
-            selecting the backend).  Every computed answer is appended
-            to it, and result-cache misses consult it before
-            computing — a finished sweep therefore warm-starts the
-            server, and a long-running server leaves a resumable sweep
-            store behind.
+            :class:`~repro.sweep.store.ResultStore` or the path of its
+            JSON-lines file).  Every computed answer is appended to it,
+            and result-cache misses consult it before computing — a
+            finished sweep therefore warm-starts the server, and a
+            long-running server leaves a resumable sweep store behind.
     """
 
     def __init__(self, session: Optional[Session] = None, *,
@@ -143,20 +143,12 @@ class Engine:
         # /healthz reports the counter registry's diff against this
         # (other sessions in the process also move the counters).
         self._baseline = obs.snapshot()
-        if store is None:
-            self._store = None
-            self._store_index: Dict[str, Any] = {}
-        else:
-            from repro.sweep.store import ResultStore, open_store
+        self._store = None
+        if store is not None:
+            from repro.sweep.store import ResultStore
 
             self._store = store if isinstance(store, ResultStore) \
-                else open_store(store)
-            # One scan at startup; the JSONL backend's get() would
-            # otherwise re-read the whole file per result-cache miss,
-            # and inside the engine lock at that.  Appends keep the
-            # index current, so the store is never re-scanned.
-            self._store_index = {record["task_key"]: record
-                                 for record in self._store.records()}
+                else ResultStore(store)
 
     # -- discovery ---------------------------------------------------------
 
@@ -205,7 +197,7 @@ class Engine:
             "version": __version__,
             "uptime_s": time.monotonic() - self.started_monotonic,
             "default_config": self.session.config.to_dict(),
-            "store": str(self._store.path) if self._store is not None
+            "store": str(self._store) if self._store is not None
             else None,
             "caches": {
                 "results": lru(self._results),
@@ -343,7 +335,8 @@ class Engine:
         :meth:`estimate`, :meth:`estimate_batch` and :meth:`optimize`.
 
         Under the engine lock each query is served hot (the result LRU,
-        then a store record priced from the current definitions),
+        then the store's :meth:`~repro.sweep.store.ResultStore.current`
+        record),
         attached to an identical in-flight leader's future, or enrolled
         as a leader; :meth:`_lead` prices and commits every leader at
         once, then all wait on their futures.  A follower whose leader
@@ -354,30 +347,36 @@ class Engine:
         reports: List[Optional[PowerQuoteReport]] = [None] * len(queries)
         pending = list(range(len(queries)))
         while pending:
-            # Learning a content key may build a circuit: do it outside
-            # the lock, and only to check a stored record (a leader
-            # learns it while mapping).
+            # A result-LRU hit never reaches the store.  On a miss the
+            # store is asked outside the lock: learning a content key
+            # to check a record may build a circuit (a leader learns
+            # it while mapping).
             lookups = []
             for index in pending:
                 query = queries[index]
                 key = query.query_key
-                record = self._store_index.get(key)
-                content = registry.content_key(
-                    query.circuit, query.library,
-                    build=record is not None and "content" in record)
-                lookups.append((index, key, content, record))
+                slot = (key, registry.content_key(
+                    query.circuit, query.library, build=False))
+                record = None
+                if self._store is not None and slot not in self._results:
+                    enrolled = _registrations(query)
+                    record = self._store.current(query)
+                    if record is not None:
+                        # What the record was checked against (None
+                        # if a registration changed meanwhile).
+                        slot = (key, _priced_content(query, enrolled))
+                lookups.append((index, key, slot, record))
             leaders: Dict[str, Tuple[PowerQuery, Any]] = {}
             waiting: List[Tuple[int, Future, str]] = []
             with self._lock:
-                for index, key, content, record in lookups:
+                for index, key, slot, record in lookups:
                     query = queries[index]
-                    report = self._results.get((key, content))
+                    report = self._results.get(slot)
                     if (report is None and record is not None
-                            and content is not None
-                            and record.get("content") == content):
+                            and slot[1] is not None):
                         report = quote_from_record(
                             record, server_version=__version__)
-                        self._remember((key, content), report)
+                        self._remember(slot, report)
                         self.counters["results.store"] += 1
                     if report is not None:
                         self.counters["results.hot"] += 1
@@ -454,16 +453,10 @@ class Engine:
         for future, quote in zip(futures, quotes):
             future.set_result(quote)
         if self._store is not None:
-            records = [store_record(query, quote.result, quote.elapsed_s,
-                                    content)
-                       for query, quote, content in zip(batch, quotes,
-                                                        contents)
-                       if content is not None]
-            for record in records:
-                self._store.append(record)
-            with self._lock:
-                self._store_index.update(
-                    (record["task_key"], record) for record in records)
+            for query, quote, content in zip(batch, quotes, contents):
+                if content is not None:
+                    self._store.append(store_record(
+                        query, quote.result, quote.elapsed_s, content))
 
     def _remember(self, key: Tuple[str, str],
                   report: PowerQuoteReport) -> None:

@@ -1,126 +1,71 @@
-"""Resumable result stores for sweep runs.
+"""The resumable result store of sweeps and served answers.
 
-Every completed sweep point is persisted as one self-describing record
-keyed by its task's content hash.  Two backends share one interface,
-chosen by file suffix in :func:`open_store`:
-
-* **JSONL** (default, any suffix): append-only, one JSON object per
-  line.  Appends are single ``write()`` calls of one line, so
-  concurrent writers interleave whole records; a torn final line (from
-  a killed run) is tolerated and simply recomputed.
-* **SQLite** (``.sqlite`` / ``.sqlite3`` / ``.db``): one table keyed
-  by ``task_key``, ``INSERT OR REPLACE`` semantics.
+Every completed sweep point or served answer is kept as one
+self-describing record keyed by its task's content hash
+(``task_key``).  A :class:`ResultStore` is a JSON-lines file, one
+record per line, or keeps its records in memory when it has no path.
+Appends are single ``write()`` calls of one line, so concurrent
+writers interleave whole records; a torn final line (from a killed
+run) is skipped and its point recomputed.  The file is read once, when
+the store is opened; an index of the last record per key answers every
+lookup after that, and each append updates it.
 
 Resume falls out of the keying: a sweep run only executes tasks the
 store holds no current record for (:func:`missing_tasks`), so
 interrupting a sweep loses at most the points in flight and re-running
 a finished sweep executes nothing.  A record is current while its
-``content`` matches the registered circuit and library: redefining a
-circuit under the same name re-executes its points.
+``content`` matches the registered circuit and library
+(:meth:`ResultStore.current`): redefining a circuit under the same name
+re-executes its points.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from repro import registry
 from repro.errors import ExperimentError
+from repro.schema import PowerQuery
 from repro.sweep.spec import SweepSpec, SweepTask
 
-#: Suffixes routed to the SQLite backend.
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+#: The first bytes of every SQLite database file.
+_SQLITE_HEADER = b"SQLite format 3\x00"
 
 
 class ResultStore:
-    """Interface shared by the JSONL and SQLite backends."""
+    """Sweep records keyed by ``task_key``, last write per key wins.
 
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
+    Args:
+        path: the JSON-lines file, or ``None`` for a store that lives
+            only as long as the object (:meth:`repro.api.Session.sweep`
+            uses one when given no store).  A missing file reads as
+            empty; nothing is created before the first append.
 
-    def keys(self) -> Set[str]:
-        """Task keys of every stored point."""
-        return {record["task_key"] for record in self.records()}
-
-    def records(self) -> List[Dict[str, Any]]:
-        """All stored records, oldest first, last write per key wins."""
-        return [record for record in self.all_records()
-                if not record.get("poison")]
-
-    def append(self, record: Dict[str, Any]) -> None:
-        """Persist one completed point."""
-        raise NotImplementedError
-
-    def get(self, task_key: str) -> Optional[Dict[str, Any]]:
-        """The record of one task key, or None."""
-        for record in self.records():
-            if record.get("task_key") == task_key:
-                return record
-        return None
-
-    def poison_keys(self) -> Set[str]:
-        """Task keys quarantined as poison (see :func:`poison_record`)."""
-        return {record["task_key"] for record in self.all_records()
-                if record.get("poison")}
-
-    def all_records(self) -> List[Dict[str, Any]]:
-        """Every stored record *including* poison markers.
-
-        :meth:`records` (and therefore :meth:`keys`) exclude poison
-        records so result consumers never mistake a quarantine marker
-        for a completed point.
-        """
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-
-def poison_record(task_key: str, reason: str,
-                  crashes: int = 0) -> Dict[str, Any]:
-    """A quarantine marker for a task that kept crashing workers.
-
-    Stored alongside result records (same key space) but flagged with
-    ``"poison": True`` so :meth:`ResultStore.records`/``keys`` skip it;
-    resume logic can see *why* a point is absent and operators can
-    clear the marker to retry.
-    """
-    return {"task_key": task_key, "poison": True,
-            "reason": reason, "crashes": crashes}
-
-
-class MemoryResultStore(ResultStore):
-    """A dict-backed store for API sessions that never touch disk.
-
-    Same key-addressed semantics as the persistent backends (last
-    write per key wins), but the records live only as long as the
-    object — :meth:`repro.api.Session.sweep` uses one when no store is
-    given.
+    Raises:
+        ExperimentError: when ``path`` is a SQLite database, which
+            earlier versions could write; the file is left untouched.
     """
 
-    def __init__(self):
-        super().__init__(":memory:")
-        self._records: Dict[str, Dict[str, Any]] = {}
+    def __init__(self, path: Union[str, Path, None] = None):
+        self.path = None if path is None else Path(path)
+        self._index: Dict[str, Dict[str, Any]] = {}
+        if self.path is not None and self.path.exists():
+            self._load()
 
-    def all_records(self) -> List[Dict[str, Any]]:
-        return list(self._records.values())
+    def __str__(self) -> str:
+        return ":memory:" if self.path is None else str(self.path)
 
-    def append(self, record: Dict[str, Any]) -> None:
-        self._records[record["task_key"]] = record
-
-    def get(self, task_key: str) -> Optional[Dict[str, Any]]:
-        return self._records.get(task_key)
-
-
-class JsonlResultStore(ResultStore):
-    """Append-only JSON-lines store (the default backend)."""
-
-    def all_records(self) -> List[Dict[str, Any]]:
-        if not self.path.exists():
-            return []
-        by_key: Dict[str, Dict[str, Any]] = {}
+    def _load(self) -> None:
+        with open(self.path, "rb") as handle:
+            if handle.read(len(_SQLITE_HEADER)) == _SQLITE_HEADER:
+                raise ExperimentError(
+                    f"{self.path} is a SQLite result store, which this "
+                    f"version no longer reads; convert it to JSON lines "
+                    f"by printing each row of 'SELECT record FROM "
+                    f"sweep_results ORDER BY rowid' on its own line "
+                    f"(README.md has the one-liner)")
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
@@ -133,76 +78,88 @@ class JsonlResultStore(ResultStore):
                     # simply not finished and will be recomputed.
                     continue
                 if isinstance(record, dict) and "task_key" in record:
-                    by_key[record["task_key"]] = record
-        return list(by_key.values())
+                    self._index[record["task_key"]] = record
 
     def append(self, record: Dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, separators=(",", ":"),
-                          sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-
-
-class SqliteResultStore(ResultStore):
-    """SQLite-backed store for sweeps too large to rescan as JSONL."""
-
-    def __init__(self, path: Union[str, Path]):
-        super().__init__(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self._connect() as conn:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS sweep_results ("
-                " task_key TEXT PRIMARY KEY,"
-                " record TEXT NOT NULL)")
-
-    def _connect(self) -> sqlite3.Connection:
-        return sqlite3.connect(self.path)
+        """Persist one completed point (or a :func:`poison_record`)."""
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            line = json.dumps(record, separators=(",", ":"),
+                              sort_keys=True) + "\n"
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(line)
+        self._index[record["task_key"]] = record
 
     def all_records(self) -> List[Dict[str, Any]]:
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT record FROM sweep_results ORDER BY rowid")
-            return [json.loads(row[0]) for row in rows]
+        """Every stored record *including* poison markers, oldest key
+        first.
 
-    def append(self, record: Dict[str, Any]) -> None:
-        payload = json.dumps(record, separators=(",", ":"), sort_keys=True)
-        with self._connect() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO sweep_results (task_key, record) "
-                "VALUES (?, ?)", (record["task_key"], payload))
+        :meth:`records` (and therefore :meth:`keys`) exclude poison
+        records so result consumers never mistake a quarantine marker
+        for a completed point.
+        """
+        return list(self._index.values())
+
+    def records(self) -> List[Dict[str, Any]]:
+        """All stored points, oldest key first."""
+        return [record for record in self.all_records()
+                if not record.get("poison")]
+
+    def keys(self) -> Set[str]:
+        """Task keys of every stored point."""
+        return {record["task_key"] for record in self.records()}
+
+    def poison_keys(self) -> Set[str]:
+        """Task keys quarantined as poison (see :func:`poison_record`)."""
+        return {record["task_key"] for record in self.all_records()
+                if record.get("poison")}
 
     def get(self, task_key: str) -> Optional[Dict[str, Any]]:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT record FROM sweep_results WHERE task_key = ?",
-                (task_key,)).fetchone()
-        return json.loads(row[0]) if row else None
+        """The stored point of one task key, or None (also for a
+        quarantined key)."""
+        record = self._index.get(task_key)
+        return None if record is None or record.get("poison") else record
+
+    def current(self, query: PowerQuery) -> Optional[Dict[str, Any]]:
+        """The record under ``query.query_key`` while its ``content``
+        equals :func:`repro.registry.content_key` of the query's circuit
+        and library, else None.
+
+        A record written for an older definition is a miss, and so is
+        one without ``content`` (written before records carried it, or
+        a poison marker) — without building anything.
+        """
+        record = self._index.get(query.query_key)
+        if record is None or "content" not in record:
+            return None
+        if record["content"] != registry.content_key(query.circuit,
+                                                     query.library):
+            return None
+        return record
+
+    def __len__(self) -> int:
+        return len(self.keys())
 
 
-def open_store(path: Union[str, Path]) -> ResultStore:
-    """Open (creating lazily) the store for a path, by suffix."""
-    path = Path(path)
-    if path.suffix.lower() in SQLITE_SUFFIXES:
-        return SqliteResultStore(path)
-    return JsonlResultStore(path)
+def poison_record(task_key: str, reason: str,
+                  crashes: int = 0) -> Dict[str, Any]:
+    """A quarantine marker for a task that kept crashing workers.
+
+    Stored alongside result records (same key space) but flagged with
+    ``"poison": True`` so :meth:`ResultStore.records`/``keys``/``get``
+    skip it; resume logic can see *why* a point is absent and operators
+    can clear the marker to retry.
+    """
+    return {"task_key": task_key, "poison": True,
+            "reason": reason, "crashes": crashes}
 
 
 def missing_tasks(tasks: Sequence[SweepTask],
                   store: ResultStore) -> List[SweepTask]:
-    """The tasks ``store`` holds no current answer for, in task order.
-
-    A stored record counts only while its ``content`` matches the
-    current registrations of its circuit and library.  One written for
-    an older definition, or before records carried ``content``, is a
-    miss: the point is recomputed and its record overwritten.
-    """
-    stored = {record["task_key"]: record.get("content")
-              for record in store.records()}
-    return [task for task in tasks
-            if stored.get(task.task_key) is None
-            or stored[task.task_key]
-            != registry.content_key(task.circuit, task.library)]
+    """The tasks ``store`` holds no current answer for
+    (:meth:`ResultStore.current`), in task order: their points are
+    recomputed and their records overwritten."""
+    return [task for task in tasks if store.current(task) is None]
 
 
 def sweep_status(spec: SweepSpec, store: ResultStore) -> Dict[str, Any]:
@@ -233,18 +190,4 @@ def require_store(path: Union[str, Path]) -> ResultStore:
     path = Path(path)
     if not path.exists():
         raise ExperimentError(f"result store {path} does not exist")
-    return open_store(path)
-
-
-def open_store_for_read(path: Union[str, Path]) -> ResultStore:
-    """Open a store for querying without creating anything on disk.
-
-    A missing path reads as an empty store (the JSONL backend never
-    touches the filesystem on read), where :func:`open_store` on a
-    SQLite path would create the database file as a side effect —
-    wrong for read-only queries like ``sweep status``.
-    """
-    path = Path(path)
-    if not path.exists():
-        return JsonlResultStore(path)
-    return open_store(path)
+    return ResultStore(path)

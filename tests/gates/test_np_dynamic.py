@@ -89,12 +89,12 @@ def test_vdd_aware_factory():
 def test_tiny_sweep_over_np_dynamic(tmp_path):
     from repro.sweep.runner import run_sweep
     from repro.sweep.spec import SweepSpec
-    from repro.sweep.store import open_store
+    from repro.sweep.store import ResultStore
 
     spec = SweepSpec(circuits=("t481",), libraries=("np-dynamic",),
                      n_patterns=(512,), state_patterns=512)
     assert spec.libraries == (NP_DYNAMIC,)
-    store = open_store(tmp_path / "np.jsonl")
+    store = ResultStore(tmp_path / "np.jsonl")
     report = run_sweep(spec, store)
     assert report.executed == 1
     record = store.records()[0]

@@ -206,7 +206,7 @@ class TestEngineBatch:
 
         from repro.errors import DeadlineExceeded
         from repro.schema import PowerQuery
-        from repro.sweep.store import open_store
+        from repro.sweep.store import ResultStore
 
         path = tmp_path / "serve.jsonl"
         engine = Engine(Session(tiny_config), store=path)
@@ -226,8 +226,8 @@ class TestEngineBatch:
         with pytest.raises(DeadlineExceeded):
             engine.estimate_batch(queries)
         assert len(engine._results) == 0
-        assert engine._store_index == {}
-        assert open_store(path).records() == []
+        assert engine._store.records() == []
+        assert ResultStore(path).records() == []
         assert engine.counters["deadline.exceeded"] == 1
         assert not engine._inflight
 
@@ -347,17 +347,45 @@ class TestEngineCoalescing:
 
 class TestEngineStoreIntegration:
     def test_answers_append_to_sweep_store(self, tiny_config, tmp_path):
-        from repro.sweep.store import open_store
+        from repro.sweep.store import ResultStore
 
         path = tmp_path / "serve.jsonl"
         engine = Engine(Session(tiny_config), store=path)
         report = engine.estimate_request("t481", "cmos")
-        records = open_store(path).records()
+        records = ResultStore(path).records()
         assert len(records) == 1
         assert records[0]["task_key"] == report.query_key
-        # The in-memory index tracks appends, so the store file is
-        # never re-scanned on later misses.
-        assert report.query_key in engine._store_index
+        # The store's index tracks appends, so the store file is never
+        # re-scanned on later misses.
+        assert engine._store.get(report.query_key) == records[0]
+
+    def test_result_hit_skips_store_and_build(self, tiny_config, tmp_path):
+        """A result-LRU hit is a dictionary lookup: it neither asks the
+        store nor builds the circuit."""
+        from repro.circuits.adders import ripple_adder_circuit
+
+        builds = []
+
+        def build():
+            builds.append(1)
+            return ripple_adder_circuit(3, name="hot-probe")
+
+        engine = Engine(Session(tiny_config),
+                        store=tmp_path / "serve.jsonl")
+        registry.register_circuit("hot-probe", build)
+        try:
+            first = engine.estimate_request("hot-probe", "cmos")
+            built = len(builds)
+
+            def forbidden(*args, **kwargs):  # pragma: no cover - guard
+                raise AssertionError("a result hit reached the store")
+
+            engine._store.current = forbidden
+            again = engine.estimate_request("hot-probe", "cmos")
+        finally:
+            registry.unregister_circuit("hot-probe", missing_ok=True)
+        assert (first.cache_status, again.cache_status) == ("cold", "hot")
+        assert len(builds) == built == 1
 
     def test_store_is_scanned_once_not_per_miss(self, tiny_config,
                                                 tmp_path):
@@ -531,6 +559,43 @@ class TestEngineInvalidation:
             "foo", "cmos")
         assert again.cache_status == "hot"
         assert again.result == answer.result
+
+    def test_redefinition_drops_the_old_subject(self, tiny_config,
+                                                define_foo):
+        """A circuit's subject graphs live on its registration: once
+        ``foo`` is redefined, nothing keeps the old subject alive."""
+        import gc
+        import weakref
+
+        from repro.experiments.flow import synthesized_benchmark
+
+        engine = Engine(Session(tiny_config))
+        define_foo("and3")
+        engine.estimate_request("foo", "cmos")
+        subject = weakref.ref(
+            synthesized_benchmark("foo", tiny_config.synthesize))
+        define_foo("or3")
+        assert engine.estimate_request("foo", "cmos").cache_status == "cold"
+        gc.collect()
+        assert subject() is None
+
+    def test_identical_reregistration_maps_from_the_memo(
+            self, tiny_config, monkeypatch, define_foo):
+        """Re-registering the same content drops the subjects with the
+        old entry but not the netlist memo: the mapping is found by
+        content before a subject is asked for, so nothing re-synthesizes."""
+        from repro.experiments import flow
+
+        library = registry.cached_library("cmos", tiny_config.vdd)
+        define_foo("and3")
+        first = flow.mapped_netlist("foo", library, tiny_config)
+        define_foo("and3")
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - guard
+            raise AssertionError("an unchanged circuit re-synthesized")
+
+        monkeypatch.setattr(flow, "synthesize_subject", forbidden)
+        assert flow.mapped_netlist("foo", library, tiny_config) is first
 
     def test_replaced_circuit_is_recomputed(self, tiny_config):
         from repro.circuits.adders import (

@@ -111,7 +111,7 @@ class TestReregistration:
         """A name registered again means another circuit: a later sweep
         must map the new definition, not reuse the old one's netlist."""
         from repro import registry
-        from repro.sweep.store import MemoryResultStore
+        from repro.sweep.store import ResultStore
 
         registry.register_circuit("x", registry.circuit_entry("t481").build)
         try:
@@ -121,7 +121,7 @@ class TestReregistration:
             Session().sweep(spec)
             registry.register_circuit(
                 "x", registry.circuit_entry("C1355").build, replace=True)
-            report = Session().sweep(spec, MemoryResultStore())
+            report = Session().sweep(spec, ResultStore())
             direct = Session(config).run("x", "cmos")
         finally:
             registry.unregister_circuit("x", missing_ok=True)

@@ -9,7 +9,7 @@ from repro.errors import ExperimentError
 from repro.sweep.report import render_csv, render_table1, render_vdd_series
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import JsonlResultStore
+from repro.sweep.store import ResultStore
 
 #: One small grid shared (session-cached via lru_cache-warmed workers)
 #: by every reporting test.
@@ -20,7 +20,7 @@ SPEC = SweepSpec(circuits=("t481",), libraries=("generalized", "cmos"),
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
     path = tmp_path_factory.mktemp("sweep") / "store.jsonl"
-    store = JsonlResultStore(path)
+    store = ResultStore(path)
     run_sweep(SPEC, store)
     return store
 
@@ -86,7 +86,7 @@ class TestReportPivots:
         assert render_csv(legacy).count(",bitsim,") == len(legacy)
 
     def test_empty_store_rejected(self, tmp_path):
-        empty = JsonlResultStore(tmp_path / "empty.jsonl")
+        empty = ResultStore(tmp_path / "empty.jsonl")
         with pytest.raises(ExperimentError, match="no points"):
             render_table1(empty.records())
         with pytest.raises(ExperimentError, match="no points"):
@@ -142,7 +142,7 @@ class TestSweepCli:
         assert main(["sweep", "run", "--spec", spec_file,
                      "--vdd", "0.9", "--store", store, "--quiet"]) == 0
         assert "total=1" in capsys.readouterr().out
-        loaded = JsonlResultStore(store)
+        loaded = ResultStore(store)
         assert [record["config"]["vdd"]
                 for record in loaded.records()] == [0.9]
 

@@ -9,7 +9,7 @@ from repro.experiments.flow import price_mapped
 from repro.schema import flow_from_record, store_record
 from repro.sweep.runner import _task_netlist, run_sweep
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import JsonlResultStore, sweep_status
+from repro.sweep.store import ResultStore, sweep_status
 
 #: Tiny but non-degenerate budget; matches the parallel-runner tests.
 PATTERNS = 2048
@@ -25,7 +25,7 @@ def _tiny_spec(**overrides) -> SweepSpec:
 class TestRunAndResume:
     def test_full_run_then_all_cached(self, tmp_path):
         spec = _tiny_spec()
-        store = JsonlResultStore(tmp_path / "s.jsonl")
+        store = ResultStore(tmp_path / "s.jsonl")
         first = run_sweep(spec, store)
         assert (first.total, first.cached, first.executed) == (4, 0, 4)
         assert store.keys() == {task.task_key for task in spec.expand()}
@@ -35,7 +35,7 @@ class TestRunAndResume:
 
     def test_partial_store_runs_only_missing(self, tmp_path):
         spec = _tiny_spec()
-        store = JsonlResultStore(tmp_path / "s.jsonl")
+        store = ResultStore(tmp_path / "s.jsonl")
         tasks = spec.expand()
         # Pre-seed two of the four points.
         for task in tasks[:2]:
@@ -46,7 +46,7 @@ class TestRunAndResume:
         assert store.keys() == {task.task_key for task in tasks}
 
     def test_overlapping_specs_share_points(self, tmp_path):
-        store = JsonlResultStore(tmp_path / "s.jsonl")
+        store = ResultStore(tmp_path / "s.jsonl")
         run_sweep(_tiny_spec(vdd=(0.9,)), store)
         # The wider sweep reuses the vdd=0.9 points it contains.
         report = run_sweep(_tiny_spec(vdd=(0.8, 0.9)), store)
@@ -59,7 +59,7 @@ class TestRunAndResume:
         spec = SweepSpec(circuits=("foo",), libraries=("cmos",),
                          n_patterns=(PATTERNS,))
         (task,) = spec.expand()
-        store = JsonlResultStore(tmp_path / "s.jsonl")
+        store = ResultStore(tmp_path / "s.jsonl")
         first = Session().sweep(spec, store)
         assert sweep_status(spec, store)["missing"] == 0
         define_foo("or3")
@@ -74,14 +74,14 @@ class TestRunAndResume:
     def test_verbose_stream(self, tmp_path):
         lines = []
         spec = _tiny_spec(vdd=(0.9,), libraries=("cmos",))
-        run_sweep(spec, JsonlResultStore(tmp_path / "s.jsonl"),
+        run_sweep(spec, ResultStore(tmp_path / "s.jsonl"),
                   verbose=True, echo=lines.append)
         assert len(lines) == 1
         assert "t481" in lines[0] and "vdd=0.90V" in lines[0]
 
     def test_report_render_is_greppable(self, tmp_path):
         spec = _tiny_spec(vdd=(0.9,), libraries=("cmos",))
-        store = JsonlResultStore(tmp_path / "s.jsonl")
+        store = ResultStore(tmp_path / "s.jsonl")
         text = run_sweep(spec, store).render()
         assert "executed=1" in text and "cached=0" in text
         assert "executed=0" in run_sweep(spec, store).render()
@@ -99,7 +99,7 @@ class TestBitIdentity:
         spec = SweepSpec(circuits=("t481", "C1908"),
                          vdd=(0.8, 0.9),  # paper point plus one more
                          n_patterns=(PATTERNS,))
-        store = JsonlResultStore(tmp_path / "s.jsonl")
+        store = ResultStore(tmp_path / "s.jsonl")
         run_sweep(spec, store)
 
         for task in spec.expand():
@@ -115,7 +115,7 @@ class TestBitIdentity:
         2-5 scaling: cell timing (and so circuit delay) is a function
         of the supply, so delay has to differ across vdd points."""
         spec = _tiny_spec(vdd=(0.7, 0.9), libraries=("cmos",))
-        store = JsonlResultStore(tmp_path / "s.jsonl")
+        store = ResultStore(tmp_path / "s.jsonl")
         run_sweep(spec, store)
         flows = {task.config.vdd: flow_from_record(store.get(task.task_key))
                  for task in spec.expand()}
@@ -126,8 +126,8 @@ class TestBitIdentity:
 
     def test_jobs_knob_is_bit_identical(self, tmp_path):
         spec = _tiny_spec(vdd=(0.9,))
-        serial = JsonlResultStore(tmp_path / "serial.jsonl")
-        fanned = JsonlResultStore(tmp_path / "fanned.jsonl")
+        serial = ResultStore(tmp_path / "serial.jsonl")
+        fanned = ResultStore(tmp_path / "fanned.jsonl")
         run_sweep(spec, serial, jobs=1)
         run_sweep(spec, fanned, jobs=2)
         for task in spec.expand():

@@ -31,7 +31,7 @@ from repro.registry import (
 from repro.schema import PowerQuery
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import JsonlResultStore
+from repro.sweep.store import ResultStore
 
 CANONICAL = "synth:rand(gates=60,seed=1,inputs=64,outputs=32)"
 
@@ -212,7 +212,7 @@ class TestEndToEnd:
                          vdd=(0.9,), n_patterns=(512,))
         # the spec canonicalizes eagerly, so task keys are spelled-out
         assert spec.circuits == (normalize_family_spec(self.SPEC),)
-        store = JsonlResultStore(tmp_path / "fam.jsonl")
+        store = ResultStore(tmp_path / "fam.jsonl")
         first = run_sweep(spec, store)
         assert (first.total, first.cached, first.executed) == (1, 0, 1)
 

@@ -151,12 +151,12 @@ class TestHybridPassLibrary:
         """The hybrid library joins sweep grids purely via the registry."""
         from repro.sweep.runner import run_sweep
         from repro.sweep.spec import SweepSpec
-        from repro.sweep.store import open_store
+        from repro.sweep.store import ResultStore
 
         spec = SweepSpec(circuits=("t481",), libraries=("hybrid",),
                          n_patterns=(512,), state_patterns=512)
         assert spec.libraries == (HYBRID_PASS,)
-        store = open_store(tmp_path / "hybrid.jsonl")
+        store = ResultStore(tmp_path / "hybrid.jsonl")
         report = run_sweep(spec, store)
         assert report.executed == 1
         record = store.records()[0]
@@ -203,12 +203,6 @@ class TestCircuitRegistry:
         # User circuits never join the paper suite implicitly.
         assert "toy-adder" not in registry.paper_benchmarks()
 
-    def test_cached_circuit_identity(self, toy_circuit):
-        a = registry.cached_circuit("ta")
-        b = registry.cached_circuit("toy-adder")
-        assert a is b
-        assert registry.build_circuit("ta") is not a
-
     def test_unknown_circuit_raises_with_choices(self):
         with pytest.raises(ExperimentError, match="unknown circuit"):
             registry.canonical_circuit("no-such-circuit")
@@ -229,12 +223,6 @@ class TestCircuitRegistry:
             assert registry.canonical_library("cmos") == CMOS
         finally:
             registry.unregister_circuit("cmos-like")
-
-    def test_replace_evicts_cached_build(self, toy_circuit):
-        before = registry.cached_circuit("toy-adder")
-        registry.register_circuit("toy-adder", toy_circuit.build,
-                                  aliases=("ta",), replace=True)
-        assert registry.cached_circuit("toy-adder") is not before
 
     def test_unregister(self, toy_circuit):
         registry.unregister_circuit("toy-adder")
