@@ -8,8 +8,8 @@ Measures what :mod:`repro.optimize` costs and what its caching buys:
   vdd) group, then vectorized repricing across the frequency axis);
 * **warm** — the identical optimization again (every point served from
   the engine's result cache; asserted to re-simulate *nothing*);
-* **timing** — cached static-timing throughput (reports/s against the
-  process LRU) and the one-shot cost of a cold analysis;
+* **timing** — memoized static-timing throughput (reports/s from the
+  netlist's own memo) and the one-shot cost of a cold analysis;
 * **points/s** — frontier candidates evaluated per second, cold and
   warm (the tracked scaling number: candidates = the full grid,
   including the timing-pruned points, which are the cheap ones).
@@ -96,12 +96,11 @@ def bench_timing(config, circuit: str, library_key: str) -> dict:
         synthesized_benchmark(circuit, config.synthesize),
         library, config)
 
-    timing.LADDER.lru.clear()
     start = time.perf_counter()
     report = timing.analyze_timing(netlist)
     analyze_s = time.perf_counter() - start
 
-    timing.timing_report(netlist)  # populate LRU + instance memo
+    timing.timing_report(netlist)  # populate the instance memo
     n = 5000
     start = time.perf_counter()
     for _ in range(n):

@@ -3,9 +3,8 @@
 A ``Session`` owns everything a reproduction run needs — the
 :class:`~repro.experiments.config.ExperimentConfig` (operating point,
 pattern budget, estimator backend), the library selection (resolved
-through :mod:`repro.registry`), process parallelism and the persistent
-characterization-cache wiring — and exposes the three workloads every
-entry point routes through::
+through :mod:`repro.registry`) and process parallelism — and exposes
+the three workloads every entry point routes through::
 
     from repro.api import Session
 
@@ -25,11 +24,8 @@ and the serving engine's misses are all priced by one routine,
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.cache import ENV_CACHE_DIR, ENV_CACHE_DISABLE
 from repro.circuits.suite import benchmark_suite
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig, PAPER_CONFIG
@@ -73,14 +69,6 @@ class Session:
         libraries: library keys/aliases this session targets for
             multi-library workloads (``table1``, ``run`` without an
             explicit library).  Defaults to the paper's three.
-        cache_dir: redirect the persistent characterization cache
-            (:mod:`repro.cache`) to this directory.  Applied via the
-            process environment so worker processes inherit it — the
-            setting is process-wide and persists after the session
-            (later sessions see it unless they set their own).
-        cache_enabled: force the characterization cache on/off.
-            Process-wide like ``cache_dir``; ``None`` leaves the
-            environment untouched.
 
     Registrations (libraries, circuits, backends) are per-process:
     with ``jobs != 1`` worker processes re-import the registries, so a
@@ -95,9 +83,7 @@ class Session:
 
     def __init__(self, config: ExperimentConfig = PAPER_CONFIG, *,
                  jobs: Optional[int] = 1,
-                 libraries: Optional[Sequence[str]] = None,
-                 cache_dir: Optional[Union[str, Path]] = None,
-                 cache_enabled: Optional[bool] = None):
+                 libraries: Optional[Sequence[str]] = None):
         self.config = config
         self.jobs = jobs
         keys = registry.PAPER_LIBRARIES if libraries is None else libraries
@@ -107,10 +93,6 @@ class Session:
             raise ExperimentError(
                 "a session needs at least one library (got an empty "
                 "selection)")
-        if cache_dir is not None:
-            os.environ[ENV_CACHE_DIR] = str(cache_dir)
-        if cache_enabled is not None:
-            os.environ[ENV_CACHE_DISABLE] = "0" if cache_enabled else "1"
 
     # -- discovery ---------------------------------------------------------
 

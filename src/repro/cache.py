@@ -1,8 +1,8 @@
 """Persistent on-disk characterization cache.
 
-SPICE-derived characterization data (per-library leakage tables),
-timing reports and simulation statistics are identical for identical
-inputs, so they are cached on disk keyed by a *stable content hash*:
+SPICE-derived characterization data (per-library leakage tables) and
+simulation statistics are identical for identical inputs, so they are
+cached on disk keyed by a *stable content hash*:
 change any field of :class:`~repro.devices.parameters.TechnologyParams`
 (or a cell definition, a netlist, a pattern budget) and the key
 changes, which is the whole invalidation story — stale entries are
@@ -52,9 +52,11 @@ takeover counters are ``disk.flight_*`` counters of :mod:`repro.obs`
 and surface in the server's ``/healthz``.
 
 **The ladder**: every expensive content-addressed artifact (activity
-statistics, timing reports, leakage tables) is read through one
-:class:`Ladder` — an :class:`LruCache`, then the disk entry, then the
-computation under :func:`single_flight`.
+statistics, leakage tables) is read through one :class:`Ladder` — an
+:class:`LruCache`, then the disk entry, then the computation under
+:func:`single_flight`.  Timing reports are not: computing one costs
+less than reading it back, so :mod:`repro.timing` memoizes each on its
+netlist only.
 """
 
 from __future__ import annotations

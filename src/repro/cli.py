@@ -103,16 +103,6 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _library_by_key(key: str):
-    from repro import registry
-    from repro.errors import ExperimentError
-
-    try:
-        return registry.cached_library(key)
-    except ExperimentError as exc:
-        raise SystemExit(str(exc))
-
-
 def _cmd_libraries(args) -> int:
     from repro import foundry, registry
     from repro.sim.backends import available_backends
@@ -153,9 +143,10 @@ def _cmd_circuits(args) -> int:
 
 
 def _cmd_genlib(args) -> int:
+    from repro import registry
     from repro.gates.genlib import write_genlib
 
-    library = _library_by_key(args.library)
+    library = registry.cached_library(args.library)
     text = write_genlib(library)
     if args.output:
         with open(args.output, "w") as handle:
@@ -167,9 +158,10 @@ def _cmd_genlib(args) -> int:
 
 
 def _cmd_cell(args) -> int:
+    from repro import registry
     from repro.power.vector_report import cell_leakage_report
 
-    library = _library_by_key(args.library)
+    library = registry.cached_library(args.library)
     cell = library.cell(args.name)
     print(f"{cell.name}: {cell.description}  "
           f"(pins {', '.join(cell.inputs)}, {cell.n_devices} devices)")
@@ -204,15 +196,11 @@ def _foundry_axes(args):
 
 def _cmd_foundry_build(args) -> int:
     from repro import foundry
-    from repro.errors import ExperimentError
 
     libraries, vdds = _foundry_axes(args)
-    try:
-        report = foundry.characterize(
-            libraries, vdds, jobs=args.jobs, cache=_foundry_cache(args),
-            force=args.force)
-    except ExperimentError as exc:
-        raise SystemExit(str(exc))
+    report = foundry.characterize(
+        libraries, vdds, jobs=args.jobs, cache=_foundry_cache(args),
+        force=args.force)
     print(report.render())
     return 1 if report.counts()["failed"] else 0
 
@@ -629,26 +617,22 @@ def _cmd_query_grid(args, client) -> int:
     from dataclasses import replace
     from itertools import product
 
-    from repro.errors import ExperimentError
     from repro.experiments.config import ExperimentConfig
     from repro.schema import PowerQuery
 
     axes = _parse_grid(args.grid)
     base = _config_from_flags(args)
-    try:
-        if base is None:
-            # No local operating-point flags: anchor the grid on the
-            # *server's* default configuration.
-            base = ExperimentConfig.from_dict(
-                client.healthz()["default_config"])
-        queries = [
-            PowerQuery(circuit=args.circuit, library=args.library,
-                       config=replace(base, **dict(zip(axes, values))),
-                       deadline_ms=args.deadline_ms)
-            for values in product(*axes.values())]
-        reports = client.estimate_batch(queries)
-    except ExperimentError as exc:
-        raise SystemExit(str(exc))
+    if base is None:
+        # No local operating-point flags: anchor the grid on the
+        # *server's* default configuration.
+        base = ExperimentConfig.from_dict(
+            client.healthz()["default_config"])
+    queries = [
+        PowerQuery(circuit=args.circuit, library=args.library,
+                   config=replace(base, **dict(zip(axes, values))),
+                   deadline_ms=args.deadline_ms)
+        for values in product(*axes.values())]
+    reports = client.estimate_batch(queries)
     if args.json:
         print(json_module.dumps([r.to_dict() for r in reports], indent=2))
         return 0
@@ -692,7 +676,6 @@ def _cmd_query_grid(args, client) -> int:
 def _cmd_query(args) -> int:
     import json as json_module
 
-    from repro.errors import ExperimentError
     from repro.resilience import RetryPolicy
     from repro.serve import Client
 
@@ -700,12 +683,9 @@ def _cmd_query(args) -> int:
     client = Client(args.url, timeout=args.timeout, retry=retry)
     if args.grid:
         return _cmd_query_grid(args, client)
-    try:
-        report = client.estimate(args.circuit, args.library,
-                                 _config_from_flags(args),
-                                 deadline_ms=args.deadline_ms)
-    except ExperimentError as exc:
-        raise SystemExit(str(exc))
+    report = client.estimate(args.circuit, args.library,
+                             _config_from_flags(args),
+                             deadline_ms=args.deadline_ms)
     if args.json:
         print(json_module.dumps(report.to_dict(), indent=2))
         return 0
@@ -764,7 +744,6 @@ def _render_frontier(report, where: str, fmt: str) -> None:
 def _cmd_optimize(args) -> int:
     from dataclasses import replace
 
-    from repro.errors import ExperimentError
     from repro.experiments.config import FAST_CONFIG, PAPER_CONFIG
 
     _register_blifs(args.blif)
@@ -788,41 +767,38 @@ def _cmd_optimize(args) -> int:
     backends = _csv_values(args.backend, str) if args.backend else None
     objectives = (_csv_values(args.objectives, str)
                   if args.objectives else None)
-    try:
-        if args.url:
-            from repro import registry
-            from repro.resilience import RetryPolicy
-            from repro.schema import DEFAULT_OBJECTIVES, OptimizeQuery
-            from repro.serve import Client
+    if args.url:
+        from repro import registry
+        from repro.resilience import RetryPolicy
+        from repro.schema import DEFAULT_OBJECTIVES, OptimizeQuery
+        from repro.serve import Client
 
-            query = OptimizeQuery(
-                circuit=args.circuit,
-                libraries=(libraries if libraries
-                           else registry.PAPER_LIBRARIES),
-                vdds=vdds if vdds else (config.vdd,),
-                frequencies=(frequencies if frequencies
-                             else (config.frequency,)),
-                backends=backends if backends else (config.backend,),
-                objectives=(objectives if objectives
-                            else DEFAULT_OBJECTIVES),
-                config=config,
-                deadline_ms=args.deadline_ms)
-            retry = (RetryPolicy(retries=args.retries)
-                     if args.retries > 0 else None)
-            client = Client(args.url, timeout=args.timeout, retry=retry)
-            report = client.optimize(query)
-            where = args.url
-        else:
-            from repro.api import Session
+        query = OptimizeQuery(
+            circuit=args.circuit,
+            libraries=(libraries if libraries
+                       else registry.PAPER_LIBRARIES),
+            vdds=vdds if vdds else (config.vdd,),
+            frequencies=(frequencies if frequencies
+                         else (config.frequency,)),
+            backends=backends if backends else (config.backend,),
+            objectives=(objectives if objectives
+                        else DEFAULT_OBJECTIVES),
+            config=config,
+            deadline_ms=args.deadline_ms)
+        retry = (RetryPolicy(retries=args.retries)
+                 if args.retries > 0 else None)
+        client = Client(args.url, timeout=args.timeout, retry=retry)
+        report = client.optimize(query)
+        where = args.url
+    else:
+        from repro.api import Session
 
-            session = Session(config=config, libraries=libraries)
-            report = session.optimize(
-                args.circuit, vdds=vdds, frequencies=frequencies,
-                backends=backends, objectives=objectives,
-                store=args.store, deadline_ms=args.deadline_ms)
-            where = "local session"
-    except ExperimentError as exc:
-        raise SystemExit(str(exc))
+        session = Session(config=config, libraries=libraries)
+        report = session.optimize(
+            args.circuit, vdds=vdds, frequencies=frequencies,
+            backends=backends, objectives=objectives,
+            store=args.store, deadline_ms=args.deadline_ms)
+        where = "local session"
     _render_frontier(report, where, args.format)
     return 0
 
@@ -1191,9 +1167,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
+    from repro.errors import ReproError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """The process-wide counter registry.
 
 Every layer counts its work here under a dotted name: the caches
-(``activity.hits``, ``timing.computes``, ``leakage.disk_hits``, ...),
+(``activity.hits``, ``activity.computes``, ``leakage.disk_hits``, ...),
 the disk tier (``disk.quarantined``, ``disk.flight_leader``, ...), the
 simulation kernel (``sim.gate_evals``, ``sim.elapsed_s``) and the
 SPICE solver (``spice.solves``).

@@ -22,12 +22,13 @@ config) triple, while keeping every expensive intermediate warm:
   estimation knobs (frequency, fanout, pattern budget, backend)
   re-estimates without re-mapping;
 * **libraries** — the registry's per-(key, vdd) library cache;
-* **stats** and **timing** — the process-wide cache ladders of
-  :mod:`repro.sim.activity` and :mod:`repro.timing`, so a
-  pricing-only requery — same circuit at a new frequency, fanout or
-  supply — does zero bit-parallel simulation work.  ``/healthz``
-  reports the stats ladder with ``stats.hot`` / ``stats.cold``
-  counters.
+* **stats** — the process-wide cache ladder of
+  :mod:`repro.sim.activity`, so a pricing-only requery — same circuit
+  at a new frequency, fanout or supply — does zero bit-parallel
+  simulation work.  ``/healthz`` reports it with ``stats.hot`` /
+  ``stats.cold`` counters.  A mapped netlist's timing report is
+  memoized on the netlist itself (:func:`repro.timing.timing_report`),
+  so the **netlists** cache keeps it too.
 
 Every cache below the results counts into :mod:`repro.obs`; the engine
 snapshots the registry when it is built and ``/healthz`` reports the
@@ -61,7 +62,7 @@ from concurrent.futures import Future, TimeoutError as FutureTimeout
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro import __version__, faults, foundry, obs, registry, timing
+from repro import __version__, faults, foundry, obs, registry
 from repro.api import Session
 from repro.cache import DISK_COUNTERS, LruCache
 from repro.errors import DeadlineExceeded, ExperimentError
@@ -205,9 +206,6 @@ class Engine:
                 "libraries": obs.section(delta, "libraries",
                                          ("hits", "misses")),
                 "stats": lru(activity.LADDER.lru),
-                "timing": {**lru(timing.LADDER.lru),
-                           "disk_hits": delta["timing.disk_hits"],
-                           "computes": delta["timing.computes"]},
                 # Leakage tables read from the store vs characterized.
                 "leakage": {"disk_hits": delta["leakage.disk_hits"],
                             "computes": delta["leakage.computes"]},

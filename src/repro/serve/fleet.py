@@ -156,7 +156,6 @@ def _worker_main(slot: int, sock: socket.socket, config,
     serves the shared service socket, answers supervisor probes on a
     private loopback admin port, and heartbeats to ``run_dir``.
     """
-    from repro import timing
     from repro.api import Session
     from repro.serve.engine import Engine
     from repro.serve.http import PowerServer
@@ -170,10 +169,11 @@ def _worker_main(slot: int, sock: socket.socket, config,
     # Fork semantics: the child inherits every module-level cache the
     # parent process had accumulated.  A worker must start cold — an
     # inherited warm stats LRU would silently answer "cold" queries
-    # without simulating.  Inherited counts need nothing: the engine
-    # below snapshots the counter registry when it is built.
+    # without simulating.  Timing has no process-wide cache to clear:
+    # a report is memoized only on its netlist.  Inherited counts need
+    # nothing: the engine below snapshots the counter registry when it
+    # is built.
     activity.LADDER.lru.clear()
-    timing.LADDER.lru.clear()
 
     engine = Engine(Session(config), store=store)
     meta = {"slot": slot, "pid": os.getpid()}

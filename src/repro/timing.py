@@ -1,4 +1,4 @@
-"""Static timing analysis as a first-class, cacheable subsystem.
+"""Static timing analysis of mapped netlists.
 
 The power model needs the critical delay (Table 1's delay column, the
 EDP definition).  The design-space optimizer additionally needs
@@ -17,39 +17,28 @@ mapped at that supply.  This module owns that timing model:
 * :func:`analyze_timing` — the full :class:`TimingReport`: critical
   delay, the maximum feasible clock frequency, per-PO arrivals and the
   critical path traced gate by gate.
-* :func:`timing_report` — the cached entry point.  Reports are
-  content-addressed by everything the numbers depend on (netlist
-  structure *plus* the library's electrical characterization, which is
-  vdd-dependent) and climb the same :class:`~repro.cache.Ladder` as
-  activity statistics, so a server answering feasibility questions for
-  a known (circuit, library, vdd) never re-propagates, and a fleet of
-  cold workers propagates once.
+* :func:`timing_report` — the report of a netlist, memoized on the
+  netlist instance and nowhere else.  A report is a pure function of
+  its netlist, and propagating it costs less than reading it back: the
+  paper grid's 36 reports compute in about 0.1 s, less than reading
+  them from a disk cache would take.  Mapped netlists are not
+  persisted, so whoever asks for a report has just built the netlist;
+  an LRU or a disk entry could only save a computation that is cheaper
+  than its own lookup.
 
 Timing is vdd-aware through the library: a library characterized at a
 different supply has different cell timings, so the same circuit
-yields a different report (and a different cache key) per vdd.
+yields a different report per vdd.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.cache import Ladder, stable_hash
 from repro.errors import SimulationError
 from repro.synth.netlist import MappedNetlist
-
-#: Disk-cache namespace for persisted timing reports.
-TIMING_NAMESPACE = "timing"
-
-#: Version of the hashed key payload *and* the stored layout.  Bump on
-#: any change to either; old disk entries are then never read again.
-TIMING_VERSION = 1
-
-#: Default capacity of the per-process timing-report LRU.  Reports are
-#: a few KB (arrival floats per net), so this is megabytes worst case.
-DEFAULT_MAX_CACHED_REPORTS = 64
 
 #: Attribute memoizing a netlist's timing report on the instance.
 _REPORT_ATTR = "_repro_timing_report"
@@ -63,14 +52,6 @@ class PathSegment:
     cell: str      # library cell
     output: str    # driven net
     arrival_s: float
-
-    def to_payload(self) -> List[Any]:
-        return [self.gate, self.cell, self.output, self.arrival_s]
-
-    @classmethod
-    def from_payload(cls, data: List[Any]) -> "PathSegment":
-        gate, cell, output, arrival_s = data
-        return cls(gate, cell, output, float(arrival_s))
 
 
 @dataclass(frozen=True)
@@ -115,40 +96,6 @@ class TimingReport:
     def feasible(self, frequency: float) -> bool:
         """True iff one clock period covers the critical path."""
         return self.slack_s(frequency) >= 0.0
-
-    # -- persistence -------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """Plain-JSON form for the disk cache (floats ride by value)."""
-        return {
-            "circuit": self.circuit,
-            "library": self.library,
-            "vdd": self.vdd,
-            "critical_delay_s": self.critical_delay_s,
-            "arrivals": dict(self.arrivals),
-            "po_arrivals": dict(self.po_arrivals),
-            "critical_po": self.critical_po,
-            "critical_path": [segment.to_payload()
-                              for segment in self.critical_path],
-            "gate_count": self.gate_count,
-        }
-
-    @classmethod
-    def from_payload(cls, data: Dict[str, Any]) -> "TimingReport":
-        return cls(
-            circuit=data["circuit"],
-            library=data["library"],
-            vdd=float(data["vdd"]),
-            critical_delay_s=float(data["critical_delay_s"]),
-            arrivals={str(net): float(value)
-                      for net, value in data["arrivals"].items()},
-            po_arrivals={str(name): float(value)
-                         for name, value in data["po_arrivals"].items()},
-            critical_po=data["critical_po"],
-            critical_path=tuple(PathSegment.from_payload(entry)
-                                for entry in data["critical_path"]),
-            gate_count=int(data["gate_count"]),
-        )
 
 
 def arrival_times(netlist: MappedNetlist,
@@ -208,8 +155,8 @@ def _trace_critical_path(netlist: MappedNetlist,
 
 def analyze_timing(netlist: MappedNetlist,
                    po_extra_load: Optional[float] = None) -> TimingReport:
-    """Compute a :class:`TimingReport` (uncached; see
-    :func:`timing_report` for the cached entry point)."""
+    """Compute a :class:`TimingReport` (unmemoized; see
+    :func:`timing_report` for the memoized entry point)."""
     critical, arrival = arrival_times(netlist, po_extra_load=po_extra_load)
     po_arrivals: Dict[str, float] = {}
     critical_po: Optional[str] = None
@@ -235,88 +182,13 @@ def analyze_timing(netlist: MappedNetlist,
     )
 
 
-# -- the content-addressed cache ----------------------------------------------
-
-
-def netlist_timing_key(netlist: MappedNetlist) -> str:
-    """Content hash of everything the timing report depends on.
-
-    The activity key covers the logic structure (PI order, gate list,
-    truth tables); timing additionally depends on the PO bindings (they
-    pick the critical net and add external load) and the library's
-    electrical characterization — per-cell intrinsic/slope timing, pin
-    and output capacitances — which is how vdd awareness enters: the
-    same circuit mapped on the same library at a different supply has
-    different electricals and therefore a different key.
-    """
-    # Imported here: repro.sim's package init imports this module, so a
-    # top-level import would make ``import repro.timing`` circular.
-    from repro.sim.activity import netlist_activity_key
-
-    library = netlist.library
-    cell_names = sorted({gate.cell for gate in netlist.gates})
-    inverter = library.inverter()
-    electricals = {}
-    for name in cell_names:
-        timing = library.timing(name)
-        electricals[name] = [
-            timing.intrinsic,
-            timing.slope,
-            [library.pin_capacitance(name, pin)
-             for pin in library.cell(name).inputs],
-            library.output_capacitance(name),
-        ]
-    return stable_hash({
-        "version": TIMING_VERSION,
-        "netlist": netlist_activity_key(netlist),
-        "pos": [[name, kind, value]
-                for name, (kind, value) in netlist.po_bindings],
-        "cells": electricals,
-        "po_extra_load": library.pin_capacitance(inverter.name,
-                                                 inverter.inputs[0]),
-    })
-
-
-def _decode(payload: Any, netlist: MappedNetlist) -> Optional[TimingReport]:
-    """A disk entry as a report, if it fits the requesting netlist."""
-    if not isinstance(payload, dict):
-        return None
-    arrivals = payload.get("arrivals")
-    if not isinstance(arrivals, dict):
-        return None
-    if payload.get("gate_count") != netlist.gate_count:
-        return None
-    for net in netlist.all_nets():
-        if net not in arrivals:
-            return None
-    po_arrivals = payload.get("po_arrivals")
-    if not isinstance(po_arrivals, dict):
-        return None
-    if not all(name in po_arrivals for name, _ in netlist.po_bindings):
-        return None
-    return TimingReport.from_payload(payload)
-
-
-#: The process-wide timing-report ladder (LRU, disk, single-flight).
-#: Its counters are ``timing.*``.
-LADDER = Ladder(TIMING_NAMESPACE, TimingReport.to_payload, _decode,
-                maxsize=DEFAULT_MAX_CACHED_REPORTS)
-
-
 def timing_report(netlist: MappedNetlist) -> TimingReport:
-    """The (cached) timing report of a mapped netlist.
+    """The timing report of a mapped netlist, memoized on the instance.
 
-    Memoized on the netlist instance, then :data:`LADDER` — the
-    per-process LRU, the :mod:`repro.cache` disk store and a
-    single-flight propagation, the same ladder activity statistics
-    climb.  The key is a content hash (:func:`netlist_timing_key`), so
-    it never needs invalidating: a re-characterized library or a
-    remapped circuit produces a fresh key.  The returned object is
-    shared — treat it as immutable.
+    The first call runs :func:`analyze_timing`; later calls on the same
+    netlist return that object, so treat it as immutable.
     """
     report = netlist.__dict__.get(_REPORT_ATTR)
     if report is None:
-        report = LADDER.get(netlist_timing_key(netlist), netlist,
-                            lambda: analyze_timing(netlist))
-        netlist.__dict__[_REPORT_ATTR] = report
+        report = netlist.__dict__[_REPORT_ATTR] = analyze_timing(netlist)
     return report

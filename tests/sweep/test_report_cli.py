@@ -160,6 +160,18 @@ class TestSweepCli:
             header = handle.readline()
         assert header.startswith("circuit,library,vdd,")
 
+    def test_report_on_missing_store_is_a_one_line_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="does not exist"):
+            main(["sweep", "report", "--store",
+                  str(tmp_path / "missing.jsonl")])
+
+    def test_status_on_sqlite_store_is_a_one_line_error(self, tmp_path):
+        old = tmp_path / "old.sqlite"
+        old.write_bytes(b"SQLite format 3\0" + bytes(84))
+        with pytest.raises(SystemExit, match="is a SQLite result store"):
+            main(["sweep", "status", "--circuits", "t481", "--libraries",
+                  "cmos", "--patterns", "512", "--store", str(old)])
+
     def test_bad_synthesize_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -71,16 +71,6 @@ class TestSessionConstruction:
         assert GENERALIZED in Session.available_libraries()
         assert "bitsim" in Session.available_backends()
 
-    def test_cache_wiring(self, tmp_path, monkeypatch):
-        import os
-
-        from repro.cache import ENV_CACHE_DIR, cache_root
-
-        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
-        Session(cache_dir=tmp_path / "cache")
-        assert os.environ[ENV_CACHE_DIR] == str(tmp_path / "cache")
-        assert cache_root() == tmp_path / "cache"
-
 
 class TestSessionRun:
     def test_benchmark_by_name(self, tiny_config):

@@ -20,7 +20,6 @@ from repro.api import Session
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.flow import (
-    MAPPED_NETLISTS,
     flow_from_power_report,
     map_subject,
     synthesized_benchmark,
@@ -192,18 +191,12 @@ class TestCacheEconomy:
         assert quote.result.pt_w == point.pt_w
 
     def test_engine_counters(self):
-        # Fresh netlists carry no memoized timing report, so the
-        # optimizer's timing queries reach the timing ladder.
-        MAPPED_NETLISTS.clear()
         engine = Engine(Session(TINY))
         engine.optimize(tiny_query())
         assert engine.counters["optimize.requests"] == 1
         assert engine.counters["optimize.candidates"] == 16
         assert engine.counters["optimize.infeasible"] > 0
         assert engine.counters["optimize.frontier"] > 0
-        caches = engine.stats()["caches"]
-        assert "timing" in caches
-        assert caches["timing"]["computes"] + caches["timing"]["hits"] > 0
 
 
 class TestParetoFrontier:
